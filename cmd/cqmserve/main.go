@@ -241,6 +241,13 @@ func run(opts options) error {
 		mux.Handle("/adapt", sup.Handler())
 	}
 
+	// Install the drain handler before any listener opens: a supervisor
+	// may signal as soon as it reads an address line, and a signal that
+	// lands before Notify kills the process undrained.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
+
 	httpLn, err := net.Listen("tcp", opts.addr)
 	if err != nil {
 		return fmt.Errorf("http listener: %w", err)
@@ -285,8 +292,6 @@ func run(opts options) error {
 		}()
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	sig := <-stop
 	signal.Stop(stop)
 	fmt.Printf("received %s, draining\n", sig)

@@ -22,10 +22,19 @@
 //   - Fronts (http.go, tcp.go): an HTTP/JSON API and a binary TCP
 //     listener over the frame codec, both returning typed protocol errors
 //     for malformed input and explicit 429/reject frames under overload.
+//     Both submit through one task path: a task carries its own answer
+//     and comes back on a done channel its caller owns, sized so a shard
+//     never blocks on a client. A binary connection is two goroutines —
+//     a reader admitting up to connWindow frames and a writer flushing
+//     once no answer is waiting; /score/batch starts every request and
+//     collects the answers on one channel.
 //
 // Determinism contract: scoring through the sharded path is bit-identical
 // to a direct unsharded ScoreBatch over the same frames at every shard
 // count — each score is an independent FIS evaluation, and the shard map
-// only changes which worker performs it. The package never reads the wall
-// clock; client-side load tooling (cmd/cqmload) owns all timing.
+// only changes which worker performs it. Scores never depend on the wall
+// clock, but serving decisions do: admission stamps, request deadlines,
+// CoDel shedding and the binary front's idle timeouts read Config.Clock
+// or time.Now. Client-side load tooling (cmd/cqmload) owns the latency
+// measurements.
 package serve

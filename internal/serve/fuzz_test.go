@@ -107,7 +107,7 @@ func FuzzServeFrame(f *testing.F) {
 		}
 		// Full serving path: the answer is always one decodable response
 		// frame echoing the request identity.
-		frame := fuzzServer().answer(req)
+		frame := answerFrame(fuzzServer(), req)
 		resp, err := DecodeResponse(frame)
 		if err != nil {
 			t.Fatalf("undecodable response: %v", err)

@@ -102,8 +102,9 @@ func TestAnswerUnansweredSkipsNilledSlots(t *testing.T) {
 	// double-answering, never leaking.
 	srv := biasServer(t, 0.75, Config{})
 	sh := &shard{srv: srv}
-	a := &task{done: make(chan result, 1)}
-	b := &task{done: make(chan result, 1)}
+	a := &task{done: make(chan *task, 1)}
+	b := &task{done: make(chan *task, 1)}
+	srv.inflight.Add(2) // both tasks count as admitted until answered
 	sh.batch = []*task{a, nil, b}
 	sh.answerUnanswered(RejectInternal)
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"cqm/internal/particle"
@@ -145,9 +144,10 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, outcomeJSON(jreq, out))
 }
 
-// handleScoreBatch serves a batch: every request is submitted
-// concurrently (so shard batching applies) and the per-request outcomes
-// — including per-request rejections — come back in order.
+// handleScoreBatch serves a batch: every request is started at once (so
+// shard batching applies), all answers land on one channel with room for
+// each of them, and the per-request outcomes — including per-request
+// rejections — come back in request order.
 func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, jsonError{Error: "POST required"})
@@ -165,26 +165,32 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, jsonError{Error: "empty batch"})
 		return
 	}
-	responses := make([]JSONResponse, len(body.Requests))
-	var wg sync.WaitGroup
-	for i := range body.Requests {
+	tasks := make([]task, len(body.Requests))
+	done := make(chan *task, len(tasks))
+	pending := 0
+	for i := range tasks {
+		t := &tasks[i]
 		req, err := body.Requests[i].toRequest()
 		if err != nil {
-			responses[i] = rejectJSON(body.Requests[i], RejectProtocol)
+			t.reject = RejectProtocol
 			continue
 		}
-		wg.Add(1)
-		go func(i int, req Request) {
-			defer wg.Done()
-			out, err := s.Submit(req)
-			if err != nil {
-				responses[i] = rejectJSON(body.Requests[i], rejectCodeFor(err))
-				return
-			}
-			responses[i] = outcomeJSON(body.Requests[i], out)
-		}(i, req)
+		t.req, t.done = req, done
+		s.start(t)
+		pending++
 	}
-	wg.Wait()
+	for ; pending > 0; pending-- {
+		<-done
+	}
+	responses := make([]JSONResponse, len(tasks))
+	for i := range tasks {
+		t := &tasks[i]
+		if t.reject != RejectNone {
+			responses[i] = rejectJSON(body.Requests[i], t.reject)
+		} else {
+			responses[i] = outcomeJSON(body.Requests[i], t.out)
+		}
+	}
 	writeJSON(w, http.StatusOK, struct {
 		Responses []JSONResponse `json:"responses"`
 	}{responses})
@@ -218,37 +224,17 @@ func rejectJSON(jreq JSONRequest, code RejectCode) JSONResponse {
 
 // admissionStatus maps a Submit error onto an HTTP status.
 func admissionStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrShed):
+	switch rejectCodeFor(err) {
+	case RejectOverloaded, RejectShed:
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrUnavailable):
+	case RejectDraining, RejectUnavailable:
 		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrDeadline):
+	case RejectDeadline:
 		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrInternal):
+	case RejectInternal:
 		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
-	}
-}
-
-// rejectCodeFor maps a Submit error onto the wire reject code.
-func rejectCodeFor(err error) RejectCode {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return RejectOverloaded
-	case errors.Is(err, ErrDraining):
-		return RejectDraining
-	case errors.Is(err, ErrUnavailable):
-		return RejectUnavailable
-	case errors.Is(err, ErrDeadline):
-		return RejectDeadline
-	case errors.Is(err, ErrShed):
-		return RejectShed
-	case errors.Is(err, ErrInternal):
-		return RejectInternal
-	default:
-		return RejectProtocol
 	}
 }
 

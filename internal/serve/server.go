@@ -37,6 +37,44 @@ var (
 	ErrShed = errors.New("serve: shed on sustained queue delay")
 )
 
+// rejectErrs is the one mapping between wire reject codes and the errors
+// Submit returns; errForReject and rejectCodeFor read it in opposite
+// directions. RejectProtocol has no entry: its error is the request's own
+// validation error, and any error not listed maps back to it.
+var rejectErrs = [...]struct {
+	code RejectCode
+	err  error
+}{
+	{RejectOverloaded, ErrOverloaded},
+	{RejectDraining, ErrDraining},
+	{RejectUnavailable, ErrUnavailable},
+	{RejectInternal, ErrInternal},
+	{RejectDeadline, ErrDeadline},
+	{RejectShed, ErrShed},
+}
+
+// errForReject maps a reject code onto Submit's error; an unknown code
+// is an internal failure.
+func errForReject(code RejectCode) error {
+	for _, e := range rejectErrs {
+		if e.code == code {
+			return e.err
+		}
+	}
+	return ErrInternal
+}
+
+// rejectCodeFor maps a Submit error onto the wire reject code; anything
+// that is not an admission or scoring error is a protocol fault.
+func rejectCodeFor(err error) RejectCode {
+	for _, e := range rejectErrs {
+		if errors.Is(err, e.err) {
+			return e.code
+		}
+	}
+	return RejectProtocol
+}
+
 // Config parameterizes a Server.
 type Config struct {
 	// Shards is the worker-shard count; sources are assigned to shards
@@ -120,18 +158,19 @@ type Outcome struct {
 	Q float64
 }
 
-// result travels from a shard back to the submitting goroutine.
-type result struct {
-	out    Outcome
-	reject RejectCode // RejectNone when scored
-}
-
-// task is one admitted request waiting on a shard queue. Tasks are pooled:
-// the done channel is allocated once and reused across requests.
+// task is one request on its way through admission and a shard, and
+// carries its own answer back. Whoever answers it (start on a refused
+// admission, the shard otherwise) sets out or reject and sends the task
+// itself on done, a channel owned by the caller, then never touches it
+// again. Every done channel has room for every task that can be
+// outstanding on it, so that send never blocks: a slow client cannot
+// stall a shard other connections share.
 type task struct {
 	req    Request
 	source string
-	done   chan result
+	done   chan *task
+	out    Outcome
+	reject RejectCode // RejectNone when scored
 	// enqueued is the admission stamp feeding the sojourn-time shedder.
 	enqueued time.Time
 	// deadline is the absolute expiry derived from the request's budget;
@@ -266,7 +305,7 @@ func New(cfg Config) (*Server, error) {
 		met:     newServeMetrics(cfg.Metrics),
 		drained: make(chan struct{}),
 	}
-	s.pool.New = func() any { return &task{done: make(chan result, 1)} }
+	s.pool.New = func() any { return &task{done: make(chan *task, 1)} }
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		sh := &shard{
@@ -297,60 +336,75 @@ func (s *Server) ShardOf(source []byte) int { return s.ring.Shard(source) }
 // Submit scores one request through its source's shard, blocking until the
 // shard answers. The error is nil for a scored outcome, or one of the
 // admission errors (ErrOverloaded, ErrDraining, ErrUnavailable,
-// ErrInternal); a request failing Validate is returned unscored with the
-// validation error.
+// ErrInternal, ErrDeadline, ErrShed); a request failing Validate is
+// returned unscored with the validation error.
 func (s *Server) Submit(req Request) (Outcome, error) {
-	if err := req.Validate(); err != nil {
-		return Outcome{}, err
-	}
 	t := s.pool.Get().(*task)
 	t.req = req
-	t.source = req.Node.String()
+	s.start(t)
+	<-t.done
+	out, code := t.out, t.reject
+	t.req.Cues = nil // drop the reference so pooled tasks do not pin cue slices
+	s.pool.Put(t)
+	switch code {
+	case RejectNone:
+		return out, nil
+	case RejectProtocol:
+		return Outcome{}, req.Validate()
+	}
+	return Outcome{}, errForReject(code)
+}
+
+// start validates, stamps and admits t on its source's shard. Exactly one
+// answer then follows on t.done: the shard's, or t itself carrying
+// RejectProtocol, RejectDraining or RejectOverloaded.
+func (s *Server) start(t *task) {
+	t.out, t.reject = Outcome{}, RejectNone
+	if t.req.Validate() != nil {
+		t.reject = RejectProtocol
+		t.done <- t
+		return
+	}
+	t.source = t.req.Node.String()
 	t.enqueued = s.cfg.Clock()
 	t.deadline = time.Time{}
-	if req.DeadlineMillis > 0 {
-		t.deadline = t.enqueued.Add(time.Duration(req.DeadlineMillis) * time.Millisecond)
+	if t.req.DeadlineMillis > 0 {
+		t.deadline = t.enqueued.Add(time.Duration(t.req.DeadlineMillis) * time.Millisecond)
 	}
 
-	sh := s.shards[s.ring.Shard(req.Node[:])]
+	sh := s.shards[s.ring.Shard(t.req.Node[:])]
 	s.admission.RLock()
 	if s.draining {
 		s.admission.RUnlock()
-		s.pool.Put(t)
-		s.rejDraining.Add(1)
-		s.met.reject(RejectDraining)
-		return Outcome{}, ErrDraining
+		s.refuse(t, RejectDraining)
+		return
 	}
+	// The shard calls inflight.Done once it has answered, which may be
+	// before this goroutine runs again: count the task before it is
+	// visible to the shard.
+	s.inflight.Add(1)
 	select {
 	case sh.tasks <- t:
-		s.inflight.Add(1)
 		s.admitted.Add(1)
 		s.admission.RUnlock()
+		s.met.admitted.Inc()
 	default:
+		s.inflight.Done()
 		s.admission.RUnlock()
-		s.pool.Put(t)
-		s.rejOverload.Add(1)
-		s.met.reject(RejectOverloaded)
-		return Outcome{}, ErrOverloaded
+		s.refuse(t, RejectOverloaded)
 	}
-	s.met.admitted.Inc()
+}
 
-	r := <-t.done
-	s.inflight.Done()
-	t.req.Cues = nil // drop the reference so pooled tasks do not pin cue slices
-	s.pool.Put(t)
-	switch r.reject {
-	case RejectNone:
-		return r.out, nil
-	case RejectUnavailable:
-		return Outcome{}, ErrUnavailable
-	case RejectDeadline:
-		return Outcome{}, ErrDeadline
-	case RejectShed:
-		return Outcome{}, ErrShed
-	default:
-		return Outcome{}, ErrInternal
+// refuse counts and answers an admission refusal.
+func (s *Server) refuse(t *task, code RejectCode) {
+	if code == RejectDraining {
+		s.rejDraining.Add(1)
+	} else {
+		s.rejOverload.Add(1)
 	}
+	s.met.reject(code)
+	t.reject = code
+	t.done <- t
 }
 
 // Drain stops admitting new requests, waits until every already-admitted
@@ -454,7 +508,9 @@ func (sh *shard) answerReject(t *task, code RejectCode) {
 		srv.rejInternal.Add(1)
 	}
 	srv.met.reject(code)
-	t.done <- result{reject: code}
+	t.reject = code
+	t.done <- t
+	srv.inflight.Done()
 }
 
 // run is the shard worker loop: block for the first task, fold every
@@ -573,7 +629,9 @@ func (sh *shard) score() {
 		}
 		sh.outs = append(sh.outs, out) //lint:ignore hotpath-alloc shard-owned buffer at fixed cap; append never grows past BatchSize
 		sh.batch[i] = nil
-		t.done <- result{out: out}
+		t.out = out
+		t.done <- t
+		srv.inflight.Done()
 	}
 	sh.batch = sh.batch[:0]
 	if srv.cfg.BatchObserver != nil {

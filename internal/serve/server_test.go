@@ -86,8 +86,20 @@ func TestSubmitValidatesRequest(t *testing.T) {
 	if _, err := s.Submit(Request{Node: PenNode(1)}); !errors.Is(err, ErrCueCount) {
 		t.Errorf("no cues: err = %v, want %v", err, ErrCueCount)
 	}
-	if _, err := s.Submit(Request{Node: PenNode(1), Cues: []float64{math.Inf(1)}}); !errors.Is(err, ErrCueValue) {
-		t.Errorf("inf cue: err = %v, want %v", err, ErrCueValue)
+	_, invalid := s.Submit(Request{Node: PenNode(1), Cues: []float64{math.Inf(1)}})
+	if !errors.Is(invalid, ErrCueValue) {
+		t.Errorf("inf cue: err = %v, want %v", invalid, ErrCueValue)
+	}
+	// Every code sent on the wire survives code → error → code; a
+	// validation error stands for RejectProtocol.
+	for code := RejectOverloaded; code <= RejectShed; code++ {
+		err := errForReject(code)
+		if code == RejectProtocol {
+			err = invalid
+		}
+		if got := rejectCodeFor(err); got != code {
+			t.Errorf("%v → %v → %v", code, err, got)
+		}
 	}
 }
 
@@ -356,10 +368,18 @@ func TestShardOfMatchesRing(t *testing.T) {
 	}
 }
 
+// answerFrame runs one request down the binary front's task path — start,
+// the answer on done, the writer's encoder — and returns the frame.
+func answerFrame(s *Server, req Request) []byte {
+	t := &task{req: req, done: make(chan *task, 1)}
+	s.start(t)
+	return encodeAnswer(<-t.done)
+}
+
 func TestSubmitResponseEchoesIdentity(t *testing.T) {
 	s := biasServer(t, 0.75, Config{Threshold: 0.5})
 	req := Request{Node: particle.NodeIDFromString("pen-echo"), Seq: 41, SentMillis: 99, Cues: []float64{0.5}}
-	frame := s.answer(req)
+	frame := answerFrame(s, req)
 	resp, err := DecodeResponse(frame)
 	if err != nil {
 		t.Fatal(err)

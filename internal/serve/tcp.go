@@ -8,24 +8,22 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"cqm/internal/particle"
 )
 
-// connWorkers is the per-connection submit pool: the number of requests a
-// single pipelined connection may have in flight. It is what lets shard
-// batches form — a connection submitting serially would cap every batch
-// at one frame.
-const connWorkers = 128
-
-// connQueue bounds the decoded-request and encoded-response queues of one
-// connection.
-const connQueue = 512
+// connWindow is the number of requests one pipelined connection may have
+// in flight: the size of its task free list and the capacity of its
+// answer channel. It is what lets shard batches form — a connection
+// submitting serially would cap every batch at one frame.
+const connWindow = 128
 
 // ServeBinary accepts connections speaking the binary frame protocol
 // until the listener is closed, then waits for the open connections'
-// in-flight requests to finish. Each connection is fully pipelined:
-// requests are decoded as fast as they arrive, scored concurrently by a
-// bounded worker pool, and answered in completion order (clients match on
-// the echoed node/seq). A malformed frame answers with one best-effort
+// in-flight requests to finish. Each connection is pipelined: up to
+// connWindow requests are decoded and admitted without waiting for
+// answers, which go back in completion order (clients match on the
+// echoed node/seq). A malformed frame answers with one best-effort
 // reject frame and closes the connection — a desynchronized byte stream
 // cannot be re-synchronized safely. A peer that stalls mid-frame or
 // dribbles bytes slower than Config.IdleTimeout per frame is disconnected
@@ -58,123 +56,95 @@ func armDeadline(set func(time.Time) error, idle time.Duration) {
 	_ = set(time.Now().Add(idle)) //lint:ignore nondeterminism connection deadlines are wall-clock by definition
 }
 
-// serveConn runs one connection: a reader decoding frames, a pool of
-// submit workers, and a writer coalescing response frames into large
-// writes.
+// serveConn runs one connection on two goroutines: this one reads and
+// admits frames, a writer encodes the answers. The connection owns
+// connWindow tasks; a task leaves the free list when a frame is read into
+// it and returns once its answer is written, so the reader stops reading
+// while the whole window is in flight.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	idle := s.cfg.IdleTimeout
 
-	reqCh := make(chan Request, connQueue)
-	respCh := make(chan []byte, connQueue)
-
-	var writer sync.WaitGroup
-	writer.Add(1)
-	go func() {
-		defer writer.Done()
-		writeResponses(conn, respCh, idle)
-	}()
-
-	var workers sync.WaitGroup
-	for i := 0; i < connWorkers; i++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			for req := range reqCh {
-				respCh <- s.answer(req)
-			}
-		}()
+	done := make(chan *task, connWindow)
+	free := make(chan *task, connWindow)
+	for i := 0; i < connWindow; i++ {
+		free <- &task{done: done}
 	}
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		writeAnswers(conn, done, free, idle)
+	}()
 
 	r := bufio.NewReaderSize(conn, 64<<10)
 	for {
+		t := <-free
 		// The deadline is re-armed per frame: a whole frame must land
 		// within the idle window, so a byte-dribbling client cannot hold
 		// the reader beyond one window.
 		armDeadline(conn.SetReadDeadline, idle)
 		req, err := ReadRequest(r)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
-				// Best-effort protocol reject before closing; the client
-				// cannot be answered per-request once framing is lost.
-				if frame, encErr := EncodeResponse(Response{Rejected: true, Reject: RejectProtocol}); encErr == nil {
-					respCh <- frame
-				}
-			}
-			break
+		if err == nil {
+			t.req = req
+			s.start(t)
+			continue
 		}
-		reqCh <- req
+		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, os.ErrDeadlineExceeded) {
+			free <- t
+		} else {
+			// Best-effort protocol reject before closing; the client
+			// cannot be answered per-request once framing is lost.
+			t.req, t.reject = Request{}, RejectProtocol
+			done <- t
+		}
+		break
 	}
-	close(reqCh)
-	workers.Wait()
-	close(respCh)
-	writer.Wait()
+	// Every task back on the free list means every answer was written.
+	for i := 0; i < connWindow; i++ {
+		<-free
+	}
+	close(done)
+	<-wrote
 }
 
-// answer scores one request and encodes its response frame.
-func (s *Server) answer(req Request) []byte {
-	out, err := s.Submit(req)
-	resp := Response{Node: req.Node, Seq: req.Seq, SentMillis: req.SentMillis}
-	if err != nil {
-		resp.Rejected = true
-		resp.Reject = rejectCodeFor(err)
-	} else {
-		resp.Status = out.Status
-		resp.Q = out.Q
+// writeAnswers encodes answered tasks into the connection and hands each
+// task back to the free list. Answers coalesce in the buffer, which holds
+// the whole window, so only Flush writes to the socket: once no further
+// answer is waiting, or the buffer has no room for another frame. Each
+// flush re-arms the write deadline, so a peer that stops reading cannot
+// park the writer forever; after a write error the writer keeps returning
+// tasks, unwritten, so the reader never waits on a dead connection.
+func writeAnswers(conn net.Conn, done <-chan *task, free chan<- *task, idle time.Duration) {
+	w := bufio.NewWriterSize(conn, 64<<10)
+	var err error
+	for t := range done {
+		if err == nil {
+			_, err = w.Write(encodeAnswer(t))
+		}
+		free <- t
+		if err == nil && (len(done) == 0 || w.Available() < particle.FrameLen) {
+			armDeadline(conn.SetWriteDeadline, idle)
+			err = w.Flush()
+		}
 	}
-	frame, encErr := EncodeResponse(resp)
-	if encErr != nil {
+}
+
+// encodeAnswer renders an answered task as its response frame, echoing
+// the request identity.
+func encodeAnswer(t *task) []byte {
+	resp := Response{Node: t.req.Node, Seq: t.req.Seq, SentMillis: t.req.SentMillis}
+	if t.reject != RejectNone {
+		resp.Rejected = true
+		resp.Reject = t.reject
+	} else {
+		resp.Status = t.out.Status
+		resp.Q = t.out.Q
+	}
+	frame, err := EncodeResponse(resp)
+	if err != nil {
 		// Unreachable: outcomes are always encodable (q ∈ [0,1]); keep
 		// the connection alive with an internal reject if it ever isn't.
-		frame, _ = EncodeResponse(Response{Node: req.Node, Seq: req.Seq, SentMillis: req.SentMillis, Rejected: true, Reject: RejectInternal})
+		frame, _ = EncodeResponse(Response{Node: resp.Node, Seq: resp.Seq, SentMillis: resp.SentMillis, Rejected: true, Reject: RejectInternal})
 	}
 	return frame
-}
-
-// writeResponses drains the response queue into the connection,
-// coalescing bursts into one buffered write and flushing only when the
-// queue momentarily empties. Each burst re-arms the write deadline, so a
-// peer that stops reading cannot park the writer goroutine forever.
-func writeResponses(conn net.Conn, respCh <-chan []byte, idle time.Duration) {
-	w := bufio.NewWriterSize(conn, 64<<10)
-	for {
-		frame, ok := <-respCh
-		if !ok {
-			armDeadline(conn.SetWriteDeadline, idle)
-			_ = w.Flush()
-			return
-		}
-		armDeadline(conn.SetWriteDeadline, idle)
-		if _, err := w.Write(frame); err != nil {
-			drainFrames(respCh)
-			return
-		}
-	coalesce: // fold everything already queued before paying a flush
-		for {
-			select {
-			case more, ok := <-respCh:
-				if !ok {
-					_ = w.Flush()
-					return
-				}
-				if _, err := w.Write(more); err != nil {
-					drainFrames(respCh)
-					return
-				}
-			default:
-				break coalesce
-			}
-		}
-		if err := w.Flush(); err != nil {
-			drainFrames(respCh)
-			return
-		}
-	}
-}
-
-// drainFrames discards queued responses after a write failure so the
-// submit workers never block on a dead connection.
-func drainFrames(respCh <-chan []byte) {
-	for range respCh {
-	}
 }

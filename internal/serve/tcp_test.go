@@ -3,9 +3,12 @@ package serve
 import (
 	"io"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"cqm/internal/core"
 	"cqm/internal/particle"
 )
 
@@ -226,5 +229,99 @@ func TestNewHTTPServerHardenedTimeouts(t *testing.T) {
 	}
 	if s.IdleTimeout <= 0 {
 		t.Error("IdleTimeout unset: dead keep-alive connections are never reclaimed")
+	}
+}
+
+func TestTCPConnectionRunsTwoGoroutines(t *testing.T) {
+	srv := biasServer(t, 0.75, Config{})
+	addr := binaryFront(t, srv)
+	frame, err := EncodeRequest(penRequest(1, 1, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// roundTrip proves the connection's goroutines are all running: the
+	// writer starts before the reader reads the first frame.
+	roundTrip := func(conn net.Conn) {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		var resp [particle.FrameLen]byte
+		if _, err := io.ReadFull(conn, resp[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip(dialFront(t, addr)) // warm up runtime helpers before counting
+
+	const conns, slack = 8, 4
+	before := runtime.NumGoroutine()
+	for i := 0; i < conns; i++ {
+		roundTrip(dialFront(t, addr))
+	}
+	if grew := runtime.NumGoroutine() - before; grew > 2*conns+slack {
+		t.Fatalf("%d binary connections added %d goroutines, want at most %d", conns, grew, 2*conns+slack)
+	}
+}
+
+func TestTCPWindowBoundsInFlight(t *testing.T) {
+	// The first batch parks the only shard in its observer; meanwhile the
+	// connection may admit no more than its window of frames.
+	held, release := make(chan struct{}), make(chan struct{})
+	var hold, unhold sync.Once
+	srv := biasServer(t, 0.75, Config{BatchObserver: func(*core.Measure, []Outcome) {
+		hold.Do(func() {
+			close(held)
+			<-release
+		})
+	}})
+	conn := dialFront(t, binaryFront(t, srv))
+	letGo := func() { unhold.Do(func() { close(release) }) }
+	t.Cleanup(letGo) // runs before the connection and server cleanups
+
+	const n = 1000
+	var stream []byte
+	for i := 0; i < n; i++ {
+		frame, err := EncodeRequest(penRequest(1, uint16(i), 0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, frame...)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := conn.Write(stream)
+		wrote <- err
+	}()
+
+	<-held
+	outstanding := func() int64 {
+		st := srv.Stats()
+		return int64(st.Admitted) - int64(st.Scored()+st.AdmittedRejects())
+	}
+	waitUntil(t, "the window to fill", func() bool { return outstanding() >= connWindow })
+	for i := 0; i < 200; i++ {
+		if got := outstanding(); got > connWindow {
+			t.Fatalf("%d frames admitted but unanswered, window is %d", got, connWindow)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	letGo()
+
+	seen := make(map[uint16]bool, n)
+	var frame [particle.FrameLen]byte
+	for i := 0; i < n; i++ {
+		if _, err := io.ReadFull(conn, frame[:]); err != nil {
+			t.Fatalf("after %d answers: %v", i, err)
+		}
+		resp, err := DecodeResponse(frame[:])
+		if err != nil || resp.Rejected || seen[resp.Seq] {
+			t.Fatalf("answer %d: %+v, %v", i, resp, err)
+		}
+		seen[resp.Seq] = true
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Admitted != n || st.Admitted != st.Scored()+st.AdmittedRejects() {
+		t.Fatalf("admitted %d, answered %d, want %d", st.Admitted, st.Scored()+st.AdmittedRejects(), n)
 	}
 }
