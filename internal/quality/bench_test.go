@@ -3,6 +3,8 @@ package quality
 import (
 	"fmt"
 	"testing"
+
+	"cqm/internal/obs"
 )
 
 // benchStream pre-builds a deterministic observation stream so the
@@ -46,5 +48,32 @@ func BenchmarkReport(b *testing.B) {
 		if rep := e.Report(); rep == nil {
 			b.Fatal("nil report")
 		}
+	}
+}
+
+// BenchmarkObserveJoin measures a first-seen Observe — a source joining —
+// with 1k or 20k sources already tracked and a metrics registry attached,
+// as cqmserve runs it. Each iteration joins one new source and then drops
+// it from the map, so the tracked count stays fixed; the map delete is
+// small next to the join's allocations.
+func BenchmarkObserveJoin(b *testing.B) {
+	for _, n := range []int{1000, 20000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			e := NewEngine(Config{Threshold: 0.6, Reference: testRef(), Metrics: obs.NewRegistry()})
+			for s := 0; s < n; s++ {
+				e.Observe(Observation{Source: fmt.Sprintf("pen-%d", s), HasQ: true, Q: 0.9})
+			}
+			joins := make([]string, 1024)
+			for i := range joins {
+				joins[i] = fmt.Sprintf("join-%d", i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				name := joins[i%len(joins)]
+				e.Observe(Observation{Source: name, At: float64(i), HasQ: true, Q: 0.9})
+				delete(e.sources, name)
+			}
+		})
 	}
 }

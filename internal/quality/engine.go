@@ -67,7 +67,6 @@ type Engine struct {
 	cfg      Config
 	met      engineMetrics
 	sources  map[string]*source
-	names    []string // sorted source names
 	observed int64
 }
 
@@ -98,11 +97,9 @@ func (e *Engine) Observe(o Observation) {
 	defer e.mu.Unlock()
 	s, ok := e.sources[o.Source]
 	if !ok {
-		s = newSource(o.Source, e.cfg.Window, e.cfg.PH)
-		s.met = newSourceMetrics(e.cfg.Metrics, o.Source)
+		s = newSource(e.cfg.Window, e.cfg.PH)
 		e.sources[o.Source] = s
-		e.names = append(e.names, o.Source) //lint:ignore hotpath-alloc first sight of a new source only; amortized to nothing per observation
-		sort.Strings(e.names)
+		e.met.sources.Set(float64(len(e.sources)))
 	}
 	e.observed++
 	sm := sample{
@@ -114,12 +111,12 @@ func (e *Engine) Observe(o Observation) {
 	}
 	fired := s.add(sm)
 
-	s.met.observations.Inc()
+	e.met.observations.Inc()
 	if !o.HasQ {
-		s.met.epsilons.Inc()
+		e.met.epsilons.Inc()
 	}
 	if fired {
-		s.met.driftPH.Inc()
+		e.met.driftPH.Inc()
 		e.fireTrigger(s, TriggerPH, o)
 	}
 	// KS runs on a stride so its amortized cost stays O(1)-ish per
@@ -128,18 +125,9 @@ func (e *Engine) Observe(o Observation) {
 		prev := s.ks.Evaluated && s.ks.Drifting
 		s.ks = KSAgainst(e.cfg.Reference, s.windowQs(), e.cfg.KS)
 		if s.ks.Evaluated && s.ks.Drifting && !prev {
-			s.met.driftKS.Inc()
+			e.met.driftKS.Inc()
 			e.fireTrigger(s, TriggerKS, o)
 		}
-	}
-	// O(1) windowed gauges refresh on every observation; velocity (O(W))
-	// refreshes at report time only.
-	if e.cfg.Metrics != nil {
-		n := float64(s.n)
-		s.met.windowMean.Set(s.windowMean())
-		s.met.windowStdDev.Set(s.windowStdDev())
-		s.met.acceptRate.Set(float64(s.wAccept) / n)
-		s.met.epsilonRate.Set(float64(s.wEpsilon) / n)
 	}
 }
 
@@ -175,9 +163,9 @@ func (e *Engine) Report() *Report {
 
 	rep := &Report{
 		Observations: e.observed,
-		Sources:      make([]SourceReport, 0, len(e.names)),
+		Sources:      make([]SourceReport, 0, len(e.sources)),
 	}
-	for _, name := range e.names {
+	for _, name := range e.sortedNames() {
 		s := e.sources[name]
 		if s.lastAt > rep.At {
 			rep.At = s.lastAt
@@ -185,8 +173,6 @@ func (e *Engine) Report() *Report {
 		if e.cfg.Reference != nil {
 			s.ks = KSAgainst(e.cfg.Reference, s.windowQs(), e.cfg.KS)
 		}
-		vel := sanitize(s.velocity())
-		std := sanitize(s.windowStdDev())
 		sr := SourceReport{
 			Name:           name,
 			Observed:       s.observed,
@@ -200,7 +186,7 @@ func (e *Engine) Report() *Report {
 			LifetimeMean:   sanitize(s.lifetime.Mean()),
 			LifetimeStdDev: sanitize(s.lifetime.StdDev()),
 			Window:         windowStatsOf(s),
-			Trends:         trendsOf(vel, std),
+			Trends:         trendsOf(sanitize(s.velocity()), sanitize(s.windowStdDev())),
 			PageHinkley: PHState{
 				Stat:   sanitize(s.ph.Stat()),
 				Count:  s.ph.Count(),
@@ -213,7 +199,6 @@ func (e *Engine) Report() *Report {
 		sr.KS.Critical = sanitize(sr.KS.Critical)
 		rep.Alerts = append(rep.Alerts, alertsFor(&sr)...)
 		rep.Sources = append(rep.Sources, sr)
-		s.met.velocity.Set(vel)
 	}
 	sort.Slice(rep.Alerts, func(i, j int) bool {
 		if rep.Alerts[i].Source != rep.Alerts[j].Source {
@@ -248,5 +233,18 @@ func (e *Engine) Sources() []string {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]string(nil), e.names...)
+	return e.sortedNames()
+}
+
+// sortedNames returns the tracked source names in sorted order, the
+// order of every report. Called with the engine lock held. Sorting here
+// rather than on every join keeps a first-seen Observe free of an
+// O(n log n) step.
+func (e *Engine) sortedNames() []string {
+	names := make([]string, 0, len(e.sources))
+	for name := range e.sources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

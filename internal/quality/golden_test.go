@@ -91,7 +91,7 @@ func TestQualityEndpointGolden(t *testing.T) {
 
 func TestQualityPrometheusGolden(t *testing.T) {
 	e, _, reg := goldenEngine()
-	_ = e.Report() // refresh report-time gauges (health, velocity, alerts)
+	_ = e.Report() // refresh report-time gauges (health, alerts)
 	var b bytes.Buffer
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -109,10 +109,9 @@ func TestQualityPrometheusGolden(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
-		MetricObservations, MetricEpsilons, MetricDrift,
-		MetricWindowMean, MetricWindowStdDev, MetricAcceptRate,
-		MetricEpsilonRate, MetricVelocity, MetricHealth, MetricAlerts,
-		MetricTraceStageSeconds, MetricTracesSampled,
+		MetricObservations, MetricEpsilons, MetricDrift, MetricSources,
+		MetricHealth, MetricAlerts, MetricTraceStageSeconds,
+		MetricTracesSampled,
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("exposition is missing %s", name)

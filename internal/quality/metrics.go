@@ -2,27 +2,20 @@ package quality
 
 import "cqm/internal/obs"
 
-// Metric names of the quality analytics engine. Gauges carry the most
-// recent report's view; counters accumulate over the engine's lifetime.
+// Metric names of the quality analytics engine. Every cqm_quality_*
+// series is fleet-level with a fixed cardinality; per-source detail lives
+// in the /quality report. Counters accumulate over the engine's lifetime,
+// the sources gauge moves on every join, and the health and alert gauges
+// carry the most recent report's view.
 const (
-	// MetricObservations counts tracked scoring decisions, per source.
+	// MetricObservations counts tracked scoring decisions.
 	MetricObservations = "cqm_quality_observations_total"
-	// MetricEpsilons counts tracked ε (no-quality) decisions, per source.
+	// MetricEpsilons counts tracked ε (no-quality) decisions.
 	MetricEpsilons = "cqm_quality_epsilons_total"
-	// MetricDrift counts drift alarms, labelled source and
-	// detector=ph|ks.
+	// MetricDrift counts drift alarms, labelled detector=ph|ks.
 	MetricDrift = "cqm_quality_drift_total"
-	// MetricWindowMean is the windowed mean q, per source.
-	MetricWindowMean = "cqm_quality_window_mean"
-	// MetricWindowStdDev is the windowed q standard deviation, per source.
-	MetricWindowStdDev = "cqm_quality_window_stddev"
-	// MetricAcceptRate is the windowed accept rate, per source.
-	MetricAcceptRate = "cqm_quality_accept_rate"
-	// MetricEpsilonRate is the windowed ε rate, per source.
-	MetricEpsilonRate = "cqm_quality_epsilon_rate"
-	// MetricVelocity is the degradation velocity (dq/dt over the window,
-	// quality units per virtual second), per source.
-	MetricVelocity = "cqm_quality_degradation_velocity"
+	// MetricSources is the number of tracked sources.
+	MetricSources = "cqm_quality_sources"
 	// MetricHealth is the overall health score of the last report, in
 	// [0,1].
 	MetricHealth = "cqm_quality_health"
@@ -39,69 +32,41 @@ const (
 // engineMetrics are the engine's pre-resolved registry handles; the zero
 // value (nil registry) makes every update a no-op.
 type engineMetrics struct {
-	reg    *obs.Registry
-	health *obs.Gauge
-	info   *obs.Gauge
-	warn   *obs.Gauge
-	errs   *obs.Gauge
-}
-
-// newEngineMetrics resolves the engine-level metrics once.
-func newEngineMetrics(reg *obs.Registry) engineMetrics {
-	if reg == nil {
-		return engineMetrics{}
-	}
-	reg.Help(MetricObservations, "Scoring decisions tracked by the quality engine, by source.")
-	reg.Help(MetricEpsilons, "Tracked epsilon (no-quality) decisions, by source.")
-	reg.Help(MetricDrift, "Drift alarms, by source and detector.")
-	reg.Help(MetricWindowMean, "Windowed mean quality, by source.")
-	reg.Help(MetricWindowStdDev, "Windowed quality standard deviation, by source.")
-	reg.Help(MetricAcceptRate, "Windowed accept rate, by source.")
-	reg.Help(MetricEpsilonRate, "Windowed epsilon rate, by source.")
-	reg.Help(MetricVelocity, "Degradation velocity dq/dt over the window, by source.")
-	reg.Help(MetricHealth, "Overall health score of the last quality report.")
-	reg.Help(MetricAlerts, "Active alerts in the last quality report, by severity.")
-	return engineMetrics{
-		reg:    reg,
-		health: reg.Gauge(MetricHealth),
-		info:   reg.Gauge(MetricAlerts, "severity", string(SeverityInfo)),
-		warn:   reg.Gauge(MetricAlerts, "severity", string(SeverityWarning)),
-		errs:   reg.Gauge(MetricAlerts, "severity", string(SeverityError)),
-	}
-}
-
-// sourceMetrics are one source's pre-resolved series.
-type sourceMetrics struct {
 	observations *obs.Counter
 	epsilons     *obs.Counter
 	driftPH      *obs.Counter
 	driftKS      *obs.Counter
-	windowMean   *obs.Gauge
-	windowStdDev *obs.Gauge
-	acceptRate   *obs.Gauge
-	epsilonRate  *obs.Gauge
-	velocity     *obs.Gauge
+	sources      *obs.Gauge
+	health       *obs.Gauge
+	info         *obs.Gauge
+	warn         *obs.Gauge
+	errs         *obs.Gauge
 }
 
-// newSourceMetrics resolves one source's labelled series. Registration
-// runs once per source lifetime (first sight); after that the resolved
-// handles are reused, so lookup-path allocations are off the
-// per-observation path.
-//
-//cqm:coldpath
-func newSourceMetrics(reg *obs.Registry, name string) sourceMetrics {
+// newEngineMetrics resolves the engine-level metrics once. The health
+// gauge starts at the empty engine's score, so a fresh engine reads
+// healthy before its first report.
+func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	if reg == nil {
-		return sourceMetrics{}
+		return engineMetrics{}
 	}
-	return sourceMetrics{
-		observations: reg.Counter(MetricObservations, "source", name),
-		epsilons:     reg.Counter(MetricEpsilons, "source", name),
-		driftPH:      reg.Counter(MetricDrift, "source", name, "detector", "ph"),
-		driftKS:      reg.Counter(MetricDrift, "source", name, "detector", "ks"),
-		windowMean:   reg.Gauge(MetricWindowMean, "source", name),
-		windowStdDev: reg.Gauge(MetricWindowStdDev, "source", name),
-		acceptRate:   reg.Gauge(MetricAcceptRate, "source", name),
-		epsilonRate:  reg.Gauge(MetricEpsilonRate, "source", name),
-		velocity:     reg.Gauge(MetricVelocity, "source", name),
+	reg.Help(MetricObservations, "Scoring decisions tracked by the quality engine.")
+	reg.Help(MetricEpsilons, "Tracked epsilon (no-quality) decisions.")
+	reg.Help(MetricDrift, "Drift alarms, by detector.")
+	reg.Help(MetricSources, "Sources tracked by the quality engine.")
+	reg.Help(MetricHealth, "Overall health score of the last quality report.")
+	reg.Help(MetricAlerts, "Active alerts in the last quality report, by severity.")
+	m := engineMetrics{
+		observations: reg.Counter(MetricObservations),
+		epsilons:     reg.Counter(MetricEpsilons),
+		driftPH:      reg.Counter(MetricDrift, "detector", "ph"),
+		driftKS:      reg.Counter(MetricDrift, "detector", "ks"),
+		sources:      reg.Gauge(MetricSources),
+		health:       reg.Gauge(MetricHealth),
+		info:         reg.Gauge(MetricAlerts, "severity", string(SeverityInfo)),
+		warn:         reg.Gauge(MetricAlerts, "severity", string(SeverityWarning)),
+		errs:         reg.Gauge(MetricAlerts, "severity", string(SeverityError)),
 	}
+	m.health.Set(1)
+	return m
 }

@@ -31,8 +31,6 @@ const maxDriftEpochs = 32
 // decisions with incrementally maintained windowed statistics, lifetime
 // Welford statistics, and the drift detectors.
 type source struct {
-	name string
-
 	// Ring window of the most recent samples, oldest overwritten first.
 	ring []sample
 	next int
@@ -58,18 +56,15 @@ type source struct {
 	// triggers counts lifetime detector firings (PH alarms plus new KS
 	// drift onsets) — the events handed to the OnTrigger hook.
 	triggers int64
-
-	met sourceMetrics
 }
 
-// newSource returns tracking state for one source name. It runs once per
+// newSource returns tracking state for one source. It runs once per
 // source lifetime (first sight), so its allocations are amortized to
 // nothing on the per-observation path.
 //
 //cqm:coldpath
-func newSource(name string, window int, ph PHConfig) *source {
+func newSource(window int, ph PHConfig) *source {
 	return &source{
-		name: name,
 		ring: make([]sample, window),
 		ph:   NewPageHinkley(ph),
 	}
