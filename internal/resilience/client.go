@@ -227,12 +227,17 @@ func (cl *Client) Close() {
 	}
 }
 
-// Do executes one scoring request. It returns either a decoded response
-// (scored outcome or explicit server reject) or a typed error —
-// ErrBreakerOpen, ErrDeadline, or ErrExhausted wrapping the last transport
-// cause. It never returns a silent zero value and never blocks past the
-// request deadline plus one dial timeout.
+// Do executes one scoring request. A request failing serve.Request.Validate
+// is returned at once with the validation error: it never reaches the
+// wire, counts in no Stats field and leaves the breaker alone. Otherwise
+// Do returns either a decoded response (scored outcome or explicit server
+// reject) or a typed error — ErrBreakerOpen, ErrDeadline, or ErrExhausted
+// wrapping the last transport cause. It never returns a silent zero value
+// and never blocks past the request deadline plus one dial timeout.
 func (cl *Client) Do(req serve.Request) (serve.Response, error) {
+	if err := req.Validate(); err != nil {
+		return serve.Response{}, err
+	}
 	cl.requests.Add(1)
 	deadline := time.Now().Add(cl.cfg.RequestTimeout) //lint:ignore nondeterminism request deadlines are wall-clock by definition
 	var lastErr error

@@ -3,6 +3,7 @@ package resilience
 import (
 	"bufio"
 	"errors"
+	"math"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -245,6 +246,40 @@ func TestBreakerFastFails(t *testing.T) {
 	// The conservation law: every request ended in exactly one bucket.
 	if st.Requests != st.Responses+st.DeadlineErrors+st.BreakerFastFails+st.Exhausted {
 		t.Fatalf("request accounting violated: %+v", st)
+	}
+}
+
+func TestInvalidRequestNeverReachesWire(t *testing.T) {
+	var served atomic.Int64
+	addr := fakeServer(t, func(n int, req serve.Request) (serve.Response, bool) {
+		served.Add(1)
+		return accepted()
+	})
+	const threshold = 2
+	cl := New(Config{
+		Addr: addr, Seed: 8,
+		BreakerThreshold: threshold, BreakerCooldown: time.Hour,
+		BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
+	})
+	defer cl.Close()
+
+	bad := testRequest(1)
+	bad.Cues = []float64{math.NaN()}
+	for i := 0; i < threshold; i++ {
+		if _, err := cl.Do(bad); !errors.Is(err, serve.ErrCueValue) {
+			t.Fatalf("invalid request %d: want %v, got %v", i, serve.ErrCueValue, err)
+		}
+	}
+	if st := cl.Stats(); st != (Stats{}) {
+		t.Fatalf("invalid requests were counted: %+v", st)
+	}
+	resp, err := cl.Do(testRequest(2))
+	if err != nil || resp.Rejected || resp.Status != serve.StatusAccepted {
+		t.Fatalf("valid request after invalid ones: %+v, %v", resp, err)
+	}
+	st := cl.Stats()
+	if st.Requests != 1 || st.Responses != 1 || st.Attempts != 1 || st.BreakerOpens != 0 || served.Load() != 1 {
+		t.Fatalf("stats %+v, served %d", st, served.Load())
 	}
 }
 

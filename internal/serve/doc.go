@@ -10,29 +10,35 @@
 //     CRC-guarded cue section, so a scoring request is self-delimiting on
 //     a byte stream and survives the same hostile-input discipline as the
 //     RF codec.
-//   - Consistent-hash ring (ring.go): source IDs map onto worker shards
+//   - Consistent-hash ring (ring.go): source IDs map onto shards
 //     through a fixed ring of virtual nodes, so the shard map is stable
 //     under shard-count changes and ready for multi-node sharding.
 //   - Server (server.go): per-shard bounded queues with admission control
-//     and explicit backpressure, batch folding of queued requests into a
-//     single core.Measure.ScoreBatch per wakeup, hot model reload through
-//     ckpt.Handle (one model load per batch — a swap never mixes models
-//     inside a batch), and a drain protocol that guarantees every admitted
-//     request is scored or explicitly rejected, never silently dropped.
+//     and explicit backpressure, and no goroutine of its own: the
+//     goroutine whose admission finds a shard idle becomes its combiner
+//     (flat combining) and folds every queued request, up to BatchSize at
+//     a time, into one core.Measure.ScoreBatch per pass until the queue
+//     is empty. Hot model reload goes through ckpt.Handle (one model load
+//     per batch — a swap never mixes models inside a batch), and a drain
+//     protocol guarantees every admitted request is scored or explicitly
+//     rejected, never silently dropped.
 //   - Fronts (http.go, tcp.go): an HTTP/JSON API and a binary TCP
 //     listener over the frame codec, both returning typed protocol errors
 //     for malformed input and explicit 429/reject frames under overload.
 //     Both submit through one task path: a task carries its own answer
-//     and comes back on a done channel its caller owns, sized so a shard
-//     never blocks on a client. A binary connection is two goroutines —
-//     a reader admitting up to connWindow frames and a writer flushing
-//     once no answer is waiting; /score/batch starts every request and
-//     collects the answers on one channel.
+//     and comes back on a done channel its caller owns, sized so a
+//     combiner never blocks on a client. A binary connection is two
+//     goroutines — a reader admitting up to connWindow frames and a
+//     writer flushing once no answer is waiting; /score/batch starts
+//     every request and collects the answers on one channel. Submit and
+//     /score combine at once; the binary reader and /score/batch admit
+//     first and combine the shards they were elected for only before
+//     they could block, so the frames of one read fold into one batch.
 //
 // Determinism contract: scoring through the sharded path is bit-identical
 // to a direct unsharded ScoreBatch over the same frames at every shard
 // count — each score is an independent FIS evaluation, and the shard map
-// only changes which worker performs it. Scores never depend on the wall
+// only changes which batch performs it. Scores never depend on the wall
 // clock, but serving decisions do: admission stamps, request deadlines,
 // CoDel shedding and the binary front's idle timeouts read Config.Clock
 // or time.Now. Client-side load tooling (cmd/cqmload) owns the latency

@@ -17,7 +17,9 @@ import (
 //	                        node, seq, send time, class id, no quality)
 //	22                1     cue count n (1..MaxCues)
 //	23                4     deadline budget in milliseconds, big endian
-//	                        (TypeScoreRequestDeadline only; 0 = expired)
+//	                        (TypeScoreRequestDeadline only; 0 = no
+//	                        deadline: the frame is scored like a plain
+//	                        request)
 //	23|27             8n    cues, IEEE-754 float64 big endian
 //	…+8n              2     CRC-16/CCITT over every byte after the header
 //

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -78,5 +79,38 @@ func TestDeadlineFieldCoveredByCRC(t *testing.T) {
 	frame[particle.FrameLen+2] ^= 0x01 // flip a budget byte
 	if _, err := DecodeRequest(frame); !errors.Is(err, ErrCueCRC) {
 		t.Fatalf("corrupted budget decoded: %v", err)
+	}
+}
+
+func TestZeroBudgetDeadlineFrameIsScored(t *testing.T) {
+	// A 0x15 frame whose budget field is 0 means no deadline, not an
+	// expired one: it decodes to DeadlineMillis 0 and is scored.
+	req := penRequest(2, 7, 0.5)
+	req.DeadlineMillis = 1
+	frame, err := EncodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(frame[particle.FrameLen+1:], 0)
+	crc := len(frame) - 2
+	binary.BigEndian.PutUint16(frame[crc:], particle.CRC16(frame[particle.FrameLen:crc]))
+	if got := particle.PacketType(frame[2]); got != TypeScoreRequestDeadline {
+		t.Fatalf("wire type 0x%02X, want 0x%02X", byte(got), byte(TypeScoreRequestDeadline))
+	}
+
+	dec, err := DecodeRequest(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.DeadlineMillis != 0 {
+		t.Fatalf("decoded budget %d, want 0", dec.DeadlineMillis)
+	}
+	srv := biasServer(t, 0.75, Config{Threshold: 0.5})
+	resp, err := DecodeResponse(answerFrame(srv, dec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Rejected || resp.Status != StatusAccepted {
+		t.Fatalf("zero-budget frame answered %+v, want accepted", resp)
 	}
 }

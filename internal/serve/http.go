@@ -144,10 +144,11 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, outcomeJSON(jreq, out))
 }
 
-// handleScoreBatch serves a batch: every request is started at once (so
-// shard batching applies), all answers land on one channel with room for
-// each of them, and the per-request outcomes — including per-request
-// rejections — come back in request order.
+// handleScoreBatch serves a batch: every request is admitted first and the
+// shards this handler was elected to combine are combined after (so the
+// requests fold into one batch per shard), all answers land on one
+// channel with room for each of them, and the per-request outcomes —
+// including per-request rejections — come back in request order.
 func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, jsonError{Error: "POST required"})
@@ -167,6 +168,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	tasks := make([]task, len(body.Requests))
 	done := make(chan *task, len(tasks))
+	var elected []*shard
 	pending := 0
 	for i := range tasks {
 		t := &tasks[i]
@@ -176,9 +178,12 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		t.req, t.done = req, done
-		s.start(t)
+		if sh := s.admit(t); sh != nil {
+			elected = append(elected, sh)
+		}
 		pending++
 	}
+	combineAll(elected)
 	for ; pending > 0; pending-- {
 		<-done
 	}

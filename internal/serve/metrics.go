@@ -18,9 +18,9 @@ const (
 	MetricBatches = "cqm_serve_batches_total"
 	// MetricBatchSize is the distribution of frames folded per batch.
 	MetricBatchSize = "cqm_serve_batch_size"
-	// MetricQueueDepth is the current depth of each shard queue.
-	MetricQueueDepth = "cqm_serve_queue_depth"
-	// MetricShardRestarts counts shard workers restarted after a panic.
+	// MetricShardRestarts counts batches recovered from a panic (their
+	// unanswered requests rejected as internal failures); the name is
+	// kept for the dashboards and load reports that read it.
 	MetricShardRestarts = "cqm_serve_shard_restarts_total"
 	// MetricQueueSojourn is the distribution of queue sojourn times in
 	// milliseconds, observed at dequeue — the load shedder's signal.
@@ -63,7 +63,7 @@ func newServeMetrics(reg *obs.Registry) serveMetrics {
 	reg.Help(MetricScored, "Requests scored, by decision status.")
 	reg.Help(MetricBatches, "ScoreBatch invocations across all shards.")
 	reg.Help(MetricBatchSize, "Frames folded into each ScoreBatch call.")
-	reg.Help(MetricShardRestarts, "Shard workers restarted after a panic.")
+	reg.Help(MetricShardRestarts, "Batches recovered from a panic.")
 	reg.Help(MetricQueueSojourn, "Queue sojourn at dequeue in milliseconds.")
 	return serveMetrics{
 		admitted:     reg.Counter(MetricAdmitted),

@@ -77,7 +77,7 @@ func rejectCodeFor(err error) RejectCode {
 
 // Config parameterizes a Server.
 type Config struct {
-	// Shards is the worker-shard count; sources are assigned to shards
+	// Shards is the shard count; sources are assigned to shards
 	// by consistent hashing. Default 1.
 	Shards int
 	// QueueDepth bounds each shard's queue; a full queue rejects with
@@ -99,14 +99,18 @@ type Config struct {
 	Quality *quality.Engine
 	// BatchObserver, when non-nil, is called synchronously after every
 	// batch with the model that scored it and the per-request outcomes
-	// (the slice is reused across batches — copy to retain). Test and
-	// analytics hook; keep it fast.
+	// (the slice is reused across batches — copy to retain). It runs on
+	// whichever goroutine is combining the shard — a Submit caller, a
+	// binary connection's reader or an HTTP handler — and other requests
+	// of that shard wait while it runs. Test and analytics hook; keep it
+	// fast.
 	BatchObserver func(m *core.Measure, outs []Outcome)
 	// DecisionObserver, when non-nil, is called synchronously per scored
 	// request with the source, the request's virtual time in seconds, its
 	// cues and class id, and the outcome — the adaptation supervisor's
 	// decision feed. The cues slice is the request's own; copy to retain.
-	// Keep it fast: it runs on the shard's scoring path.
+	// Keep it fast: like BatchObserver it runs on whichever goroutine is
+	// combining the shard, which may be a binary reader or an HTTP handler.
 	DecisionObserver func(source string, at float64, cues []float64, classID int, out Outcome)
 	// ShedTarget enables CoDel-style adaptive load shedding: when the
 	// queue sojourn of dequeued requests stays above this target for a
@@ -159,12 +163,13 @@ type Outcome struct {
 }
 
 // task is one request on its way through admission and a shard, and
-// carries its own answer back. Whoever answers it (start on a refused
-// admission, the shard otherwise) sets out or reject and sends the task
-// itself on done, a channel owned by the caller, then never touches it
-// again. Every done channel has room for every task that can be
-// outstanding on it, so that send never blocks: a slow client cannot
-// stall a shard other connections share.
+// carries its own answer back. Whoever answers it (admit on a refused
+// admission, the shard's combiner otherwise) sets out or reject and sends
+// the task itself on done, a channel owned by the caller, then never
+// touches it again. Every done channel has room for every task that can
+// be outstanding on it, so that send never blocks: a combiner can answer
+// another connection's task, and a slow client cannot stall a shard other
+// connections share.
 type task struct {
 	req    Request
 	source string
@@ -206,7 +211,9 @@ type Stats struct {
 	// RejectedShed counts admitted requests dropped by the adaptive
 	// queue-delay shedder.
 	RejectedShed uint64
-	// ShardRestarts counts shard workers restarted after a panic.
+	// ShardRestarts counts batches recovered from a panic: the batch's
+	// unanswered tasks were rejected as internal failures and the shard
+	// kept serving.
 	ShardRestarts uint64
 	// Batches counts ScoreBatch invocations across all shards.
 	Batches uint64
@@ -225,8 +232,9 @@ func (s Stats) AdmittedRejects() uint64 {
 }
 
 // Server is the sharded scoring service: admission control in Submit,
-// per-shard batching workers, and a drain protocol that accounts for
-// every admitted request.
+// per-shard batch folding run by the goroutines that admit the work, and
+// a drain protocol that accounts for every admitted request. It starts no
+// goroutine of its own.
 type Server struct {
 	cfg    Config
 	ring   *Ring
@@ -239,8 +247,6 @@ type Server struct {
 	admission sync.RWMutex
 	draining  bool
 	inflight  sync.WaitGroup
-	drained   chan struct{} // closed once all shards have exited
-	drainOnce sync.Once
 
 	admitted    atomic.Uint64
 	accepted    atomic.Uint64
@@ -257,21 +263,22 @@ type Server struct {
 	maxBatch    atomic.Uint64
 }
 
-// shard is one worker: a bounded task queue and reusable batch buffers.
-// Entries of batch are nilled as they are answered, so the panic
-// supervisor can tell which tasks of an interrupted batch still owe a
-// response.
+// shard is one scoring lane: a bounded task queue, the count of queued
+// tasks no combiner has claimed yet, and batch buffers that only the
+// shard's current combiner touches. Entries of batch are nilled as they
+// are answered, so panic recovery can tell which tasks of an interrupted
+// batch still owe a response.
 type shard struct {
-	srv   *Server
-	tasks chan *task
-	batch []*task
-	obs   []core.Observation
-	outs  []Outcome
-	shed  codel
-	done  chan struct{}
+	srv     *Server
+	tasks   chan *task
+	pending atomic.Int64
+	batch   []*task
+	obs     []core.Observation
+	outs    []Outcome
+	shed    codel
 }
 
-// New validates cfg, builds the shard ring, and starts the shard workers.
+// New validates cfg and builds the shard ring and the shards.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Handle == nil {
@@ -300,25 +307,21 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:     cfg,
-		ring:    ring,
-		met:     newServeMetrics(cfg.Metrics),
-		drained: make(chan struct{}),
+		cfg:  cfg,
+		ring: ring,
+		met:  newServeMetrics(cfg.Metrics),
 	}
 	s.pool.New = func() any { return &task{done: make(chan *task, 1)} }
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		sh := &shard{
+		s.shards[i] = &shard{
 			srv:   s,
 			tasks: make(chan *task, cfg.QueueDepth),
 			batch: make([]*task, 0, cfg.BatchSize),
 			obs:   make([]core.Observation, 0, cfg.BatchSize),
 			outs:  make([]Outcome, 0, cfg.BatchSize),
 			shed:  codel{target: cfg.ShedTarget, interval: cfg.ShedInterval},
-			done:  make(chan struct{}),
 		}
-		s.shards[i] = sh
-		go sh.supervise()
 	}
 	return s, nil
 }
@@ -326,18 +329,19 @@ func New(cfg Config) (*Server, error) {
 // Threshold returns the acceptance threshold the server applies.
 func (s *Server) Threshold() float64 { return s.cfg.Threshold }
 
-// Shards returns the worker-shard count.
+// Shards returns the shard count.
 func (s *Server) Shards() int { return s.cfg.Shards }
 
 // ShardOf exposes the shard assignment of a source id (the consistent-hash
 // map the fronts and tests share).
 func (s *Server) ShardOf(source []byte) int { return s.ring.Shard(source) }
 
-// Submit scores one request through its source's shard, blocking until the
-// shard answers. The error is nil for a scored outcome, or one of the
-// admission errors (ErrOverloaded, ErrDraining, ErrUnavailable,
-// ErrInternal, ErrDeadline, ErrShed); a request failing Validate is
-// returned unscored with the validation error.
+// Submit scores one request through its source's shard, blocking until it
+// is answered; if no other goroutine is combining that shard, Submit
+// scores the shard's queue itself. The error is nil for a scored outcome,
+// or one of the admission errors (ErrOverloaded, ErrDraining,
+// ErrUnavailable, ErrInternal, ErrDeadline, ErrShed); a request failing
+// Validate is returned unscored with the validation error.
 func (s *Server) Submit(req Request) (Outcome, error) {
 	t := s.pool.Get().(*task)
 	t.req = req
@@ -355,15 +359,26 @@ func (s *Server) Submit(req Request) (Outcome, error) {
 	return Outcome{}, errForReject(code)
 }
 
-// start validates, stamps and admits t on its source's shard. Exactly one
-// answer then follows on t.done: the shard's, or t itself carrying
-// RejectProtocol, RejectDraining or RejectOverloaded.
+// start admits t and, if that makes the caller its shard's combiner,
+// combines the shard at once.
 func (s *Server) start(t *task) {
+	if sh := s.admit(t); sh != nil {
+		sh.combine()
+	}
+}
+
+// admit validates, stamps and queues t on its source's shard. Exactly one
+// answer then follows on t.done: a combiner's, or t itself carrying
+// RejectProtocol, RejectDraining or RejectOverloaded. admit returns the
+// shard when the caller has become its combiner; the caller must then
+// call combine before it next blocks, since every task queued on the
+// shard in the meantime waits for it.
+func (s *Server) admit(t *task) *shard {
 	t.out, t.reject = Outcome{}, RejectNone
 	if t.req.Validate() != nil {
 		t.reject = RejectProtocol
 		t.done <- t
-		return
+		return nil
 	}
 	t.source = t.req.Node.String()
 	t.enqueued = s.cfg.Clock()
@@ -377,22 +392,28 @@ func (s *Server) start(t *task) {
 	if s.draining {
 		s.admission.RUnlock()
 		s.refuse(t, RejectDraining)
-		return
+		return nil
 	}
-	// The shard calls inflight.Done once it has answered, which may be
+	// A combiner calls inflight.Done once it has answered, which may be
 	// before this goroutine runs again: count the task before it is
 	// visible to the shard.
 	s.inflight.Add(1)
 	select {
 	case sh.tasks <- t:
+		// Counted only once queued, so pending never exceeds the queue.
+		elected := sh.pending.Add(1) == 1
 		s.admitted.Add(1)
 		s.admission.RUnlock()
 		s.met.admitted.Inc()
+		if elected {
+			return sh
+		}
 	default:
 		s.inflight.Done()
 		s.admission.RUnlock()
 		s.refuse(t, RejectOverloaded)
 	}
+	return nil
 }
 
 // refuse counts and answers an admission refusal.
@@ -407,26 +428,16 @@ func (s *Server) refuse(t *task, code RejectCode) {
 	t.done <- t
 }
 
-// Drain stops admitting new requests, waits until every already-admitted
-// request has been answered, and stops the shard workers. It is
-// idempotent and safe to call concurrently with Submit: a Submit racing
-// the transition either completes normally or reports ErrDraining.
+// Drain stops admitting new requests and waits until every
+// already-admitted request has been answered. It is idempotent and safe to
+// call concurrently with Submit: a Submit racing the transition either
+// completes normally or reports ErrDraining. Every queued task has a
+// combiner that scores it before blocking, so the wait ends.
 func (s *Server) Drain() {
-	s.drainOnce.Do(func() {
-		s.admission.Lock()
-		s.draining = true
-		s.admission.Unlock()
-		// Every admitted task has been queued; wait for its answer.
-		s.inflight.Wait()
-		for _, sh := range s.shards {
-			close(sh.tasks)
-		}
-		for _, sh := range s.shards {
-			<-sh.done
-		}
-		close(s.drained)
-	})
-	<-s.drained
+	s.admission.Lock()
+	s.draining = true
+	s.admission.Unlock()
+	s.inflight.Wait()
 }
 
 // Draining reports whether the server has begun (or finished) draining.
@@ -455,30 +466,47 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// supervise keeps the shard worker alive: a panic anywhere in the scoring
-// path (a hostile model, an observer hook) answers the interrupted batch's
-// unanswered tasks with RejectInternal — the drain invariant survives the
-// crash — then restarts the worker loop. The done channel closes only on
-// the worker's normal exit (tasks channel closed by Drain).
-func (sh *shard) supervise() {
-	defer close(sh.done)
-	for !sh.runRecovering() {
-		sh.srv.restarts.Add(1)
-		sh.srv.met.restarts.Inc()
+// combine scores the shard's queue until no admitted task is left
+// unclaimed. Only the admitter whose increment took pending from 0 to 1
+// runs it, so one goroutine at a time owns the batch buffers. Each pass
+// receives exactly min(pending, BatchSize) tasks, which the queue already
+// holds, so no receive blocks; the pass whose subtraction brings pending
+// back to 0 ends the loop, and the next admission elects a new combiner.
+// This is the serving hot loop — its buffers are shard-owned and reused,
+// so the steady state performs no allocation beyond ScoreBatch's own
+// accounted buffers.
+//
+//cqm:hotpath
+func (sh *shard) combine() {
+	size := int64(sh.srv.cfg.BatchSize)
+	for n := sh.pending.Load(); n > 0; {
+		k := min(n, size)
+		for i := int64(0); i < k; i++ {
+			sh.batch = append(sh.batch, <-sh.tasks) //lint:ignore hotpath-alloc shard-owned buffer at fixed cap; append never grows past BatchSize
+		}
+		sh.score()
+		n = sh.pending.Add(-k)
 	}
 }
 
-// runRecovering runs the worker loop once, converting a panic into
-// explicit rejections of the unanswered remainder of the current batch.
-// It reports whether the loop exited normally.
-func (sh *shard) runRecovering() (normal bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			sh.answerUnanswered(RejectInternal)
-		}
-	}()
-	sh.run()
-	return true
+// combineAll combines every shard in elected and returns it emptied.
+func combineAll(elected []*shard) []*shard {
+	for _, sh := range elected {
+		sh.combine()
+	}
+	return elected[:0]
+}
+
+// recoverBatch converts a panic anywhere in the scoring path (a hostile
+// model, an observer hook) into RejectInternal answers for the batch's
+// unanswered tasks, so the drain invariant survives the crash and the
+// shard keeps serving.
+func (sh *shard) recoverBatch() {
+	if recover() != nil {
+		sh.answerUnanswered(RejectInternal)
+		sh.srv.restarts.Add(1)
+		sh.srv.met.restarts.Inc()
+	}
 }
 
 // answerUnanswered rejects every batch entry not yet nilled by an answer,
@@ -513,42 +541,13 @@ func (sh *shard) answerReject(t *task, code RejectCode) {
 	srv.inflight.Done()
 }
 
-// run is the shard worker loop: block for the first task, fold every
-// further queued task up to the batch cap without blocking, score the
-// batch against a single model snapshot, and answer each task. This is
-// the serving hot loop — its buffers are shard-owned and reused, so the
-// steady state performs no allocation beyond ScoreBatch's own accounted
-// buffers.
-//
-//cqm:hotpath
-func (sh *shard) run() {
-	for {
-		t, ok := <-sh.tasks
-		if !ok {
-			return
-		}
-		sh.batch = append(sh.batch[:0], t) //lint:ignore hotpath-alloc shard-owned buffer at fixed cap; append never grows past BatchSize
-	fold:
-		for len(sh.batch) < sh.srv.cfg.BatchSize {
-			select {
-			case t2, ok2 := <-sh.tasks:
-				if !ok2 {
-					break fold
-				}
-				sh.batch = append(sh.batch, t2) //lint:ignore hotpath-alloc shard-owned buffer at fixed cap; append never grows past BatchSize
-			default:
-				break fold
-			}
-		}
-		sh.score()
-	}
-}
-
 // score answers every task in the current batch: expired and shed tasks
 // with typed rejections before a ScoreBatch slot is spent, the rest with
-// scoring outcomes. The model handle is loaded exactly once per batch: a
-// hot swap lands between batches, never inside one.
+// scoring outcomes, all behind a panic barrier. The model handle is loaded
+// exactly once per batch: a hot swap lands between batches, never inside
+// one.
 func (sh *shard) score() {
+	defer sh.recoverBatch()
 	srv := sh.srv
 	n := uint64(len(sh.batch))
 	srv.batches.Add(1)
@@ -560,7 +559,7 @@ func (sh *shard) score() {
 	// Dequeue-time admission: one clock read covers the whole batch.
 	// Expired deadlines answer RejectDeadline, the CoDel shedder answers
 	// RejectShed, and the batch compacts in place to the live remainder
-	// (the tail is nilled so the panic supervisor sees answered slots).
+	// (the tail is nilled so panic recovery sees answered slots).
 	now := srv.cfg.Clock()
 	live := sh.batch[:0]
 	for _, t := range sh.batch {

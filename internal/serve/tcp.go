@@ -56,11 +56,14 @@ func armDeadline(set func(time.Time) error, idle time.Duration) {
 	_ = set(time.Now().Add(idle)) //lint:ignore nondeterminism connection deadlines are wall-clock by definition
 }
 
-// serveConn runs one connection on two goroutines: this one reads and
-// admits frames, a writer encodes the answers. The connection owns
+// serveConn runs one connection on two goroutines: this one reads, admits
+// and scores frames, a writer encodes the answers. The connection owns
 // connWindow tasks; a task leaves the free list when a frame is read into
 // it and returns once its answer is written, so the reader stops reading
-// while the whole window is in flight.
+// while the whole window is in flight. A shard the reader is elected to
+// combine is combined only where the reader could otherwise block — before
+// a socket read, before waiting on the free list, and before waiting for
+// the last answers — so the frames of one read fold into one batch.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	idle := s.cfg.IdleTimeout
@@ -77,8 +80,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	r := bufio.NewReaderSize(conn, 64<<10)
+	elected := make([]*shard, 0, s.cfg.Shards)
 	for {
+		if len(free) == 0 {
+			elected = combineAll(elected)
+		}
 		t := <-free
+		if r.Buffered() < maxRequestLen {
+			elected = combineAll(elected)
+		}
 		// The deadline is re-armed per frame: a whole frame must land
 		// within the idle window, so a byte-dribbling client cannot hold
 		// the reader beyond one window.
@@ -86,7 +96,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		req, err := ReadRequest(r)
 		if err == nil {
 			t.req = req
-			s.start(t)
+			if sh := s.admit(t); sh != nil {
+				elected = append(elected, sh)
+			}
 			continue
 		}
 		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, os.ErrDeadlineExceeded) {
@@ -99,6 +111,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		break
 	}
+	combineAll(elected)
 	// Every task back on the free list means every answer was written.
 	for i := 0; i < connWindow; i++ {
 		<-free

@@ -263,8 +263,9 @@ func TestTCPConnectionRunsTwoGoroutines(t *testing.T) {
 }
 
 func TestTCPWindowBoundsInFlight(t *testing.T) {
-	// The first batch parks the only shard in its observer; meanwhile the
-	// connection may admit no more than its window of frames.
+	// A Submit parks the only shard in its observer, so the connection's
+	// reader is never elected to combine it; meanwhile the connection may
+	// admit no more than its window of frames.
 	held, release := make(chan struct{}), make(chan struct{})
 	var hold, unhold sync.Once
 	srv := biasServer(t, 0.75, Config{BatchObserver: func(*core.Measure, []Outcome) {
@@ -286,13 +287,18 @@ func TestTCPWindowBoundsInFlight(t *testing.T) {
 		}
 		stream = append(stream, frame...)
 	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := srv.Submit(penRequest(2, 0, 0.5))
+		parked <- err
+	}()
+	<-held
 	wrote := make(chan error, 1)
 	go func() {
 		_, err := conn.Write(stream)
 		wrote <- err
 	}()
 
-	<-held
 	outstanding := func() int64 {
 		st := srv.Stats()
 		return int64(st.Admitted) - int64(st.Scored()+st.AdmittedRejects())
@@ -321,7 +327,10 @@ func TestTCPWindowBoundsInFlight(t *testing.T) {
 	if err := <-wrote; err != nil {
 		t.Fatal(err)
 	}
-	if st := srv.Stats(); st.Admitted != n || st.Admitted != st.Scored()+st.AdmittedRejects() {
-		t.Fatalf("admitted %d, answered %d, want %d", st.Admitted, st.Scored()+st.AdmittedRejects(), n)
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Admitted != n+1 || st.Admitted != st.Scored()+st.AdmittedRejects() {
+		t.Fatalf("admitted %d, answered %d, want %d", st.Admitted, st.Scored()+st.AdmittedRejects(), n+1)
 	}
 }
