@@ -1,19 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cqm/internal/chaos"
-	"cqm/internal/ckpt"
 	"cqm/internal/resilience"
 	"cqm/internal/serve"
 )
@@ -130,7 +127,7 @@ func runChaos(opts options) error {
 	printChaosReport(rep)
 	if opts.out != "" {
 		//lint:ignore determinism-taint a chaos report is measurement, not reproducible output: wall-clock latency and the run date are its payload
-		if err := writeChaosReport(opts.out, rep); err != nil {
+		if err := writeReport(opts.out, rep); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "report written to %s\n", opts.out)
@@ -289,19 +286,7 @@ func buildChaosReport(opts options, tallies []chaosTally, clients []*resilience.
 			rep.Chaos[k.String()] = counts[k]
 		}
 	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		pct := func(p float64) float64 {
-			idx := int(p * float64(len(latencies)-1))
-			return float64(latencies[idx]) / 1e6
-		}
-		rep.Latency = latencyReport{
-			P50:  pct(0.50),
-			P99:  pct(0.99),
-			P999: pct(0.999),
-			Max:  float64(latencies[len(latencies)-1]) / 1e6,
-		}
-	}
+	rep.Latency = newLatencyReport(latencies)
 	if self != nil {
 		stats := self.Stats()
 		rep.Server = &chaosServerReport{
@@ -339,16 +324,4 @@ func printChaosReport(rep *chaosReport) {
 			rep.Server.Admitted, rep.Server.Scored, rep.Server.RejectedAdmitted,
 			rep.Server.RejectedDeadline, rep.Server.RejectedShed, rep.Server.ShardRestarts)
 	}
-}
-
-// writeChaosReport persists the JSON artifact crash-safely.
-func writeChaosReport(path string, rep *chaosReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("encoding report: %w", err)
-	}
-	if err := ckpt.AtomicWriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("writing report: %w", err)
-	}
-	return nil
 }

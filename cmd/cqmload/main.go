@@ -30,7 +30,7 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -392,6 +392,19 @@ type latencyReport struct {
 	Max  float64 `json:"max"`
 }
 
+// newLatencyReport summarizes latencies in nanoseconds, sorting them in
+// place; an empty set reports zeros.
+func newLatencyReport(latencies []int64) latencyReport {
+	if len(latencies) == 0 {
+		return latencyReport{}
+	}
+	slices.Sort(latencies)
+	pct := func(p float64) float64 {
+		return float64(latencies[int(p*float64(len(latencies)-1))]) / 1e6
+	}
+	return latencyReport{P50: pct(0.50), P99: pct(0.99), P999: pct(0.999), Max: pct(1)}
+}
+
 // serverReport is the self-served core's accounting, proving the drain
 // invariant held for the run.
 type serverReport struct {
@@ -443,19 +456,7 @@ func buildReport(opts options, conns []*loadConn, elapsed time.Duration, cursor 
 	if elapsed > 0 {
 		rep.Throughput = float64(rep.Responses) / elapsed.Seconds()
 	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		pct := func(p float64) float64 {
-			idx := int(p * float64(len(latencies)-1))
-			return float64(latencies[idx]) / 1e6
-		}
-		rep.Latency = latencyReport{
-			P50:  pct(0.50),
-			P99:  pct(0.99),
-			P999: pct(0.999),
-			Max:  float64(latencies[len(latencies)-1]) / 1e6,
-		}
-	}
+	rep.Latency = newLatencyReport(latencies)
 	if self != nil {
 		stats := self.Stats()
 		rep.Server = &serverReport{
@@ -482,8 +483,9 @@ func printReport(rep *report) {
 		rep.Latency.P50, rep.Latency.P99, rep.Latency.P999, rep.Latency.Max)
 }
 
-// writeReport persists the JSON artifact crash-safely.
-func writeReport(path string, rep *report) error {
+// writeReport persists a JSON report (BENCH_serve.json or
+// BENCH_chaos.json) crash-safely.
+func writeReport(path string, rep any) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return fmt.Errorf("encoding report: %w", err)

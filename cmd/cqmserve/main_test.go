@@ -36,7 +36,13 @@ func TestSIGTERMAtStartupDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	hung := time.AfterFunc(2*time.Minute, func() { _ = cmd.Process.Kill() })
-	defer hung.Stop()
+	// Whichever way the test ends, a t.Fatal included, the daemon is killed
+	// and reaped; after a clean exit both calls fail harmlessly.
+	t.Cleanup(func() {
+		hung.Stop()
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	})
 
 	// Signal the moment the last address line appears, as a supervisor
 	// that waits only for the daemon to be reachable would.

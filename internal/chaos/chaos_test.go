@@ -200,6 +200,13 @@ func TestProxyForwardsClean(t *testing.T) {
 			t.Fatalf("zero-fault config took a %s decision", k)
 		}
 	}
+	// Counts and /metrics read one counter per kind.
+	snap := reg.Snapshot()
+	for k := Kind(0); k < kindCount; k++ {
+		if v, ok := snap.Counter(MetricDecisions, "kind", k.String()); !ok || uint64(v) != counts[k] {
+			t.Errorf("%s{kind=%s} = %d (present %v), Counts has %d", MetricDecisions, k, v, ok, counts[k])
+		}
+	}
 }
 
 func TestProxyScheduleMatchesDecider(t *testing.T) {

@@ -36,16 +36,15 @@ type Proxy struct {
 	conns  sync.WaitGroup
 	accept sync.WaitGroup
 
-	next   atomic.Int64
-	counts [kindCount]atomic.Uint64
-	met    [kindCount]*obs.Counter
+	next atomic.Int64
+	met  [kindCount]*obs.Counter // decisions by kind; Counts reads them
 
 	mu        sync.Mutex
 	schedules map[int64][]Decision
 }
 
 // New starts a proxy on 127.0.0.1 (ephemeral port) forwarding to target.
-// Close stops it. reg may be nil (no metrics).
+// Close stops it. With a nil reg the decision counters are private.
 func New(cfg Config, target string, reg *obs.Registry) (*Proxy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -61,11 +60,12 @@ func New(cfg Config, target string, reg *obs.Registry) (*Proxy, error) {
 	if cfg.Record {
 		p.schedules = make(map[int64][]Decision)
 	}
-	if reg != nil {
-		reg.Help(MetricDecisions, "Chaos proxy decisions taken, by kind.")
-		for k := Kind(0); k < kindCount; k++ {
-			p.met[k] = reg.Counter(MetricDecisions, "kind", k.String())
-		}
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	reg.Help(MetricDecisions, "Chaos proxy decisions taken, by kind.")
+	for k := Kind(0); k < kindCount; k++ {
+		p.met[k] = reg.Counter(MetricDecisions, "kind", k.String())
 	}
 	p.accept.Add(1)
 	go p.serve()
@@ -84,11 +84,11 @@ func (p *Proxy) Close() error {
 	return err
 }
 
-// Counts returns the number of decisions taken so far, by kind.
+// Counts reads the decision counters /metrics exports, by kind.
 func (p *Proxy) Counts() [kindCount]uint64 {
 	var out [kindCount]uint64
-	for i := range out {
-		out[i] = p.counts[i].Load()
+	for i, c := range p.met {
+		out[i] = uint64(c.Value())
 	}
 	return out
 }
@@ -163,7 +163,6 @@ func (p *Proxy) pump(dst, src net.Conn, stream int64) {
 		n, err := src.Read(buf)
 		if n > 0 {
 			dec := d.Next()
-			p.counts[dec.Kind].Add(1)
 			p.met[dec.Kind].Inc()
 			if !p.apply(dst, src, buf[:n], dec) {
 				return

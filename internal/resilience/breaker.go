@@ -32,7 +32,6 @@ type breaker struct {
 	fails    int
 	openedAt time.Time
 	probing  bool
-	opens    uint64
 }
 
 // allow reports whether a request may proceed now. In the open state it
@@ -89,23 +88,14 @@ func (b *breaker) failure(now time.Time) (opened bool) {
 		b.state = breakerOpen
 		b.openedAt = now
 		b.probing = false
-		b.opens++
 		return true
 	case breakerClosed:
 		b.fails++
 		if b.fails >= b.threshold {
 			b.state = breakerOpen
 			b.openedAt = now
-			b.opens++
 			return true
 		}
 	}
 	return false
-}
-
-// openCount returns the number of times the breaker has opened.
-func (b *breaker) openCount() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
 }

@@ -78,7 +78,8 @@ type Config struct {
 	// Seed roots the jitter RNG, making backoff sequences reproducible in
 	// tests.
 	Seed int64
-	// Metrics optionally registers the client's counters.
+	// Metrics optionally registers the client's counters. When nil they
+	// live in a private registry, so Stats still counts.
 	Metrics *obs.Registry
 }
 
@@ -108,7 +109,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a snapshot of the client's counters.
+// Stats holds the client's counters. Attempts, TransportErrors, Retries,
+// Dials, BreakerFastFails and BreakerOpens are read from the counters
+// /metrics exports (cqm_resilience_*): clients sharing one Config.Metrics
+// registry report their sum, as /metrics does, and only a client with a
+// registry of its own balances the Requests partition below by itself.
 type Stats struct {
 	// Requests is the number of Do calls; Responses of them ended in a
 	// decoded response (including explicit rejects).
@@ -142,20 +147,16 @@ type Client struct {
 	rng  *rand.Rand
 	prev time.Duration
 
+	// Facts with no series; the rest are counted in met.
 	requests  atomic.Uint64
 	responses atomic.Uint64
 	deadline  atomic.Uint64
-	fastfail  atomic.Uint64
 	exhausted atomic.Uint64
-	attempts  atomic.Uint64
-	terrs     atomic.Uint64
-	retries   atomic.Uint64
-	dials     atomic.Uint64
 
 	met clientMetrics
 }
 
-// clientMetrics holds the optional pre-resolved counters.
+// clientMetrics holds the pre-resolved counters.
 type clientMetrics struct {
 	attemptOK  *obs.Counter
 	attemptErr *obs.Counter
@@ -182,36 +183,41 @@ func New(cfg Config) *Client {
 			cooldown:  cfg.BreakerCooldown,
 		},
 	}
-	if reg := cfg.Metrics; reg != nil {
-		reg.Help(MetricAttempts, "Resilient client wire attempts, by outcome.")
-		reg.Help(MetricRetries, "Resilient client retry sleeps taken.")
-		reg.Help(MetricBreaker, "Resilient client breaker events.")
-		reg.Help(MetricDials, "Resilient client connections established.")
-		cl.met = clientMetrics{
-			attemptOK:  reg.Counter(MetricAttempts, "outcome", "ok"),
-			attemptErr: reg.Counter(MetricAttempts, "outcome", "error"),
-			retries:    reg.Counter(MetricRetries),
-			opens:      reg.Counter(MetricBreaker, "event", "open"),
-			fastfails:  reg.Counter(MetricBreaker, "event", "fastfail"),
-			dials:      reg.Counter(MetricDials),
-		}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	reg.Help(MetricAttempts, "Resilient client wire attempts, by outcome.")
+	reg.Help(MetricRetries, "Resilient client retry sleeps taken.")
+	reg.Help(MetricBreaker, "Resilient client breaker events.")
+	reg.Help(MetricDials, "Resilient client connections established.")
+	cl.met = clientMetrics{
+		attemptOK:  reg.Counter(MetricAttempts, "outcome", "ok"),
+		attemptErr: reg.Counter(MetricAttempts, "outcome", "error"),
+		retries:    reg.Counter(MetricRetries),
+		opens:      reg.Counter(MetricBreaker, "event", "open"),
+		fastfails:  reg.Counter(MetricBreaker, "event", "fastfail"),
+		dials:      reg.Counter(MetricDials),
 	}
 	return cl
 }
 
-// Stats snapshots the counters.
+// Stats reads the counters.
 func (cl *Client) Stats() Stats {
+	m := &cl.met
+	n := func(c *obs.Counter) uint64 { return uint64(c.Value()) }
+	terrs := n(m.attemptErr)
 	return Stats{
 		Requests:         cl.requests.Load(),
 		Responses:        cl.responses.Load(),
 		DeadlineErrors:   cl.deadline.Load(),
-		BreakerFastFails: cl.fastfail.Load(),
+		BreakerFastFails: n(m.fastfails),
 		Exhausted:        cl.exhausted.Load(),
-		Attempts:         cl.attempts.Load(),
-		TransportErrors:  cl.terrs.Load(),
-		Retries:          cl.retries.Load(),
-		Dials:            cl.dials.Load(),
-		BreakerOpens:     cl.breaker.openCount(),
+		Attempts:         n(m.attemptOK) + terrs,
+		TransportErrors:  terrs,
+		Retries:          n(m.retries),
+		Dials:            n(m.dials),
+		BreakerOpens:     n(m.opens),
 	}
 }
 
@@ -251,12 +257,10 @@ func (cl *Client) Do(req serve.Request) (serve.Response, error) {
 			return serve.Response{}, ErrDeadline
 		}
 		if !cl.breaker.allow(time.Now()) { //lint:ignore nondeterminism breaker cooldowns track real elapsed time
-			cl.fastfail.Add(1)
 			cl.met.fastfails.Inc()
 			return serve.Response{}, ErrBreakerOpen
 		}
 		resp, err := cl.attempt(req, deadline, budget)
-		cl.attempts.Add(1)
 		if err == nil {
 			cl.met.attemptOK.Inc()
 			cl.breaker.success()
@@ -266,7 +270,6 @@ func (cl *Client) Do(req serve.Request) (serve.Response, error) {
 			cl.responses.Add(1)
 			return resp, nil
 		}
-		cl.terrs.Add(1)
 		cl.met.attemptErr.Inc()
 		if cl.breaker.failure(time.Now()) { //lint:ignore nondeterminism breaker cooldowns track real elapsed time
 			cl.met.opens.Inc()
@@ -317,7 +320,6 @@ func (cl *Client) sleepBackoff(deadline time.Time) {
 	if until := time.Until(deadline); d > until { //lint:ignore nondeterminism backoff is clipped to the wall-clock deadline
 		d = until
 	}
-	cl.retries.Add(1)
 	cl.met.retries.Inc()
 	if d > 0 {
 		time.Sleep(d)
@@ -406,7 +408,6 @@ func (cl *Client) take(deadline time.Time) (*wire, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl.dials.Add(1)
 	cl.met.dials.Inc()
 	return &wire{conn: conn}, nil
 }

@@ -154,6 +154,58 @@ func TestRetryOnOverloadReject(t *testing.T) {
 	}
 }
 
+func TestStatsMatchMetrics(t *testing.T) {
+	// The first request is answered; every later one is dropped, so the
+	// second request fails twice, opens the breaker and the third fails
+	// fast.
+	addr := fakeServer(t, func(n int, req serve.Request) (serve.Response, bool) {
+		if n > 0 {
+			return serve.Response{}, false
+		}
+		return accepted()
+	})
+	reg := obs.NewRegistry()
+	cl := New(Config{
+		Addr: addr, Seed: 9, MaxRetries: 1, Metrics: reg,
+		BreakerThreshold: 2, BreakerCooldown: time.Hour,
+		BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
+	})
+	defer cl.Close()
+
+	for i, want := range []error{nil, ErrExhausted, ErrBreakerOpen} {
+		if _, err := cl.Do(testRequest(uint16(i))); !errors.Is(err, want) {
+			t.Fatalf("request %d: err = %v, want %v", i, err, want)
+		}
+	}
+	st := cl.Stats()
+	snap := reg.Snapshot()
+	series := func(name string, labels ...string) uint64 {
+		v, ok := snap.Counter(name, labels...)
+		if !ok {
+			t.Errorf("no series %s%v", name, labels)
+		}
+		return uint64(v)
+	}
+	for _, c := range []struct {
+		field    string
+		got, exp uint64
+	}{
+		{"Attempts", st.Attempts, series(MetricAttempts, "outcome", "ok") + series(MetricAttempts, "outcome", "error")},
+		{"TransportErrors", st.TransportErrors, series(MetricAttempts, "outcome", "error")},
+		{"Retries", st.Retries, series(MetricRetries)},
+		{"Dials", st.Dials, series(MetricDials)},
+		{"BreakerOpens", st.BreakerOpens, series(MetricBreaker, "event", "open")},
+		{"BreakerFastFails", st.BreakerFastFails, series(MetricBreaker, "event", "fastfail")},
+	} {
+		if c.got != c.exp || c.got == 0 {
+			t.Errorf("Stats.%s = %d, /metrics has %d (want equal and non-zero)", c.field, c.got, c.exp)
+		}
+	}
+	if st.Requests != st.Responses+st.DeadlineErrors+st.BreakerFastFails+st.Exhausted {
+		t.Fatalf("request accounting violated: %+v", st)
+	}
+}
+
 func TestTerminalRejectReturnedToCaller(t *testing.T) {
 	addr := fakeServer(t, func(n int, req serve.Request) (serve.Response, bool) {
 		return serve.Response{Rejected: true, Reject: serve.RejectDraining}, true
@@ -306,12 +358,9 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.allow(later) {
 		t.Fatal("second concurrent probe granted in half-open")
 	}
-	// Probe fails: straight back to open, counted.
+	// Probe fails: straight back to open, reported as an opening.
 	if opened := b.failure(later); !opened {
 		t.Fatal("half-open probe failure did not re-open")
-	}
-	if b.openCount() != 2 {
-		t.Fatalf("open count %d, want 2", b.openCount())
 	}
 	// Next cooldown, probe succeeds: closed again.
 	again := later.Add(60 * time.Millisecond)

@@ -34,19 +34,14 @@ var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // ladder, in milliseconds.
 var sojournBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
 
-// serveMetrics are the pre-resolved serving metrics; the zero value is
-// instrumentation off, one nil-check per update.
+// serveMetrics are the server's counters, resolved once: the one copy of
+// every counted fact, exported on /metrics and read back by Stats. With no
+// registry the counters live in a private one, so Stats still counts; the
+// histograms are then nil, and observing them is a no-op.
 type serveMetrics struct {
 	admitted     *obs.Counter
-	rejOverload  *obs.Counter
-	rejDraining  *obs.Counter
-	rejNoModel   *obs.Counter
-	rejInternal  *obs.Counter
-	rejDeadline  *obs.Counter
-	rejShed      *obs.Counter
-	accepted     *obs.Counter
-	discarded    *obs.Counter
-	epsilon      *obs.Counter
+	rejected     [RejectShed + 1]*obs.Counter // by RejectCode; nil for none and protocol
+	scored       [StatusEpsilon + 1]*obs.Counter
 	batches      *obs.Counter
 	restarts     *obs.Counter
 	batchSize    *obs.Histogram
@@ -55,65 +50,33 @@ type serveMetrics struct {
 
 // newServeMetrics resolves the server's metrics once.
 func newServeMetrics(reg *obs.Registry) serveMetrics {
-	if reg == nil {
-		return serveMetrics{}
+	var m serveMetrics
+	if reg != nil {
+		reg.Help(MetricAdmitted, "Requests admitted into a shard queue.")
+		reg.Help(MetricRejected, "Requests explicitly rejected, by reason.")
+		reg.Help(MetricScored, "Requests scored, by decision status.")
+		reg.Help(MetricBatches, "ScoreBatch invocations across all shards.")
+		reg.Help(MetricBatchSize, "Frames folded into each ScoreBatch call.")
+		reg.Help(MetricShardRestarts, "Batches recovered from a panic.")
+		reg.Help(MetricQueueSojourn, "Queue sojourn at dequeue in milliseconds.")
+		m.batchSize = reg.Histogram(MetricBatchSize, batchSizeBuckets)
+		m.queueSojourn = reg.Histogram(MetricQueueSojourn, sojournBuckets)
+	} else {
+		reg = obs.NewRegistry()
 	}
-	reg.Help(MetricAdmitted, "Requests admitted into a shard queue.")
-	reg.Help(MetricRejected, "Requests explicitly rejected, by reason.")
-	reg.Help(MetricScored, "Requests scored, by decision status.")
-	reg.Help(MetricBatches, "ScoreBatch invocations across all shards.")
-	reg.Help(MetricBatchSize, "Frames folded into each ScoreBatch call.")
-	reg.Help(MetricShardRestarts, "Batches recovered from a panic.")
-	reg.Help(MetricQueueSojourn, "Queue sojourn at dequeue in milliseconds.")
-	return serveMetrics{
-		admitted:     reg.Counter(MetricAdmitted),
-		rejOverload:  reg.Counter(MetricRejected, "reason", RejectOverloaded.String()),
-		rejDraining:  reg.Counter(MetricRejected, "reason", RejectDraining.String()),
-		rejNoModel:   reg.Counter(MetricRejected, "reason", RejectUnavailable.String()),
-		rejInternal:  reg.Counter(MetricRejected, "reason", RejectInternal.String()),
-		rejDeadline:  reg.Counter(MetricRejected, "reason", RejectDeadline.String()),
-		rejShed:      reg.Counter(MetricRejected, "reason", RejectShed.String()),
-		accepted:     reg.Counter(MetricScored, "status", StatusAccepted.String()),
-		discarded:    reg.Counter(MetricScored, "status", StatusDiscarded.String()),
-		epsilon:      reg.Counter(MetricScored, "status", StatusEpsilon.String()),
-		batches:      reg.Counter(MetricBatches),
-		restarts:     reg.Counter(MetricShardRestarts),
-		batchSize:    reg.Histogram(MetricBatchSize, batchSizeBuckets),
-		queueSojourn: reg.Histogram(MetricQueueSojourn, sojournBuckets),
+	m.admitted = reg.Counter(MetricAdmitted)
+	for _, e := range rejectErrs {
+		m.rejected[e.code] = reg.Counter(MetricRejected, "reason", e.code.String())
 	}
-}
-
-// reject tallies one explicit rejection.
-func (m serveMetrics) reject(code RejectCode) {
-	switch code {
-	case RejectOverloaded:
-		m.rejOverload.Inc()
-	case RejectDraining:
-		m.rejDraining.Inc()
-	case RejectUnavailable:
-		m.rejNoModel.Inc()
-	case RejectDeadline:
-		m.rejDeadline.Inc()
-	case RejectShed:
-		m.rejShed.Inc()
-	default:
-		m.rejInternal.Inc()
+	for st := range m.scored {
+		m.scored[st] = reg.Counter(MetricScored, "status", Status(st).String())
 	}
+	m.batches = reg.Counter(MetricBatches)
+	m.restarts = reg.Counter(MetricShardRestarts)
+	return m
 }
 
 // sojourn observes one dequeue-time queue delay.
-func (m serveMetrics) sojourn(d time.Duration) {
+func (m *serveMetrics) sojourn(d time.Duration) {
 	m.queueSojourn.Observe(float64(d) / float64(time.Millisecond))
-}
-
-// scored tallies one scoring outcome.
-func (m serveMetrics) scored(s Status) {
-	switch s {
-	case StatusAccepted:
-		m.accepted.Inc()
-	case StatusDiscarded:
-		m.discarded.Inc()
-	default:
-		m.epsilon.Inc()
-	}
 }

@@ -92,7 +92,9 @@ type Config struct {
 	// time (ckpt.ModelWatcher). Each batch loads the handle exactly
 	// once, so a swap never mixes two models inside one batch.
 	Handle *ckpt.Handle
-	// Metrics, when non-nil, receives cqm_serve_* series.
+	// Metrics, when non-nil, receives cqm_serve_* series. When nil, the
+	// counters Stats reads live in a private registry and the histograms
+	// are off.
 	Metrics *obs.Registry
 	// Quality, when non-nil, receives one engine observation per scored
 	// request (source = the request's node id).
@@ -183,11 +185,11 @@ type task struct {
 	deadline time.Time
 }
 
-// Stats is a consistent snapshot of the server's accounting counters.
-// After Drain returns, Admitted == Scored() + AdmittedRejects(): every
-// admitted request was scored or explicitly rejected with a typed reason,
-// never silently dropped — the invariant holds across shard panics,
-// deadline expiry, and load shedding.
+// Stats holds the server's accounting counters, as read by Server.Stats
+// from the counters /metrics exports. After Drain returns, Admitted ==
+// Scored() + AdmittedRejects(): every admitted request was scored or
+// explicitly rejected with a typed reason, never silently dropped — the
+// invariant holds across shard panics, deadline expiry, and load shedding.
 type Stats struct {
 	// Admitted counts requests that entered a shard queue.
 	Admitted uint64
@@ -248,19 +250,8 @@ type Server struct {
 	draining  bool
 	inflight  sync.WaitGroup
 
-	admitted    atomic.Uint64
-	accepted    atomic.Uint64
-	discarded   atomic.Uint64
-	epsilon     atomic.Uint64
-	rejOverload atomic.Uint64
-	rejDraining atomic.Uint64
-	rejNoModel  atomic.Uint64
-	rejInternal atomic.Uint64
-	rejDeadline atomic.Uint64
-	rejShed     atomic.Uint64
-	restarts    atomic.Uint64
-	batches     atomic.Uint64
-	maxBatch    atomic.Uint64
+	// maxBatch is the one accounting fact with no exported series.
+	maxBatch atomic.Uint64
 }
 
 // shard is one scoring lane: a bounded task queue, the count of queued
@@ -402,9 +393,10 @@ func (s *Server) admit(t *task) *shard {
 	case sh.tasks <- t:
 		// Counted only once queued, so pending never exceeds the queue.
 		elected := sh.pending.Add(1) == 1
-		s.admitted.Add(1)
-		s.admission.RUnlock()
+		// Counted before the unlock: Drain cannot start waiting until then,
+		// so it never returns with an answered task not yet admitted.
 		s.met.admitted.Inc()
+		s.admission.RUnlock()
 		if elected {
 			return sh
 		}
@@ -418,12 +410,7 @@ func (s *Server) admit(t *task) *shard {
 
 // refuse counts and answers an admission refusal.
 func (s *Server) refuse(t *task, code RejectCode) {
-	if code == RejectDraining {
-		s.rejDraining.Add(1)
-	} else {
-		s.rejOverload.Add(1)
-	}
-	s.met.reject(code)
+	s.met.rejected[code].Inc()
 	t.reject = code
 	t.done <- t
 }
@@ -447,21 +434,27 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Stats snapshots the accounting counters.
+// Stats reads the accounting counters: the ones /metrics exports. Each
+// field is read on its own, so the fields agree with each other only once
+// Drain has returned. Servers sharing one Config.Metrics registry share its
+// counters, and each one's Stats reports their sum, as /metrics does;
+// MaxBatch, which has no series, stays per server.
 func (s *Server) Stats() Stats {
+	m := &s.met
+	n := func(c *obs.Counter) uint64 { return uint64(c.Value()) }
 	return Stats{
-		Admitted:            s.admitted.Load(),
-		Accepted:            s.accepted.Load(),
-		Discarded:           s.discarded.Load(),
-		Epsilon:             s.epsilon.Load(),
-		RejectedOverload:    s.rejOverload.Load(),
-		RejectedDraining:    s.rejDraining.Load(),
-		RejectedUnavailable: s.rejNoModel.Load(),
-		RejectedInternal:    s.rejInternal.Load(),
-		RejectedDeadline:    s.rejDeadline.Load(),
-		RejectedShed:        s.rejShed.Load(),
-		ShardRestarts:       s.restarts.Load(),
-		Batches:             s.batches.Load(),
+		Admitted:            n(m.admitted),
+		Accepted:            n(m.scored[StatusAccepted]),
+		Discarded:           n(m.scored[StatusDiscarded]),
+		Epsilon:             n(m.scored[StatusEpsilon]),
+		RejectedOverload:    n(m.rejected[RejectOverloaded]),
+		RejectedDraining:    n(m.rejected[RejectDraining]),
+		RejectedUnavailable: n(m.rejected[RejectUnavailable]),
+		RejectedInternal:    n(m.rejected[RejectInternal]),
+		RejectedDeadline:    n(m.rejected[RejectDeadline]),
+		RejectedShed:        n(m.rejected[RejectShed]),
+		ShardRestarts:       n(m.restarts),
+		Batches:             n(m.batches),
 		MaxBatch:            s.maxBatch.Load(),
 	}
 }
@@ -503,9 +496,8 @@ func combineAll(elected []*shard) []*shard {
 // shard keeps serving.
 func (sh *shard) recoverBatch() {
 	if recover() != nil {
-		sh.answerUnanswered(RejectInternal)
-		sh.srv.restarts.Add(1)
 		sh.srv.met.restarts.Inc()
+		sh.answerUnanswered(RejectInternal)
 	}
 }
 
@@ -525,17 +517,7 @@ func (sh *shard) answerUnanswered(code RejectCode) {
 // answerReject counts and answers one explicit per-task rejection.
 func (sh *shard) answerReject(t *task, code RejectCode) {
 	srv := sh.srv
-	switch code {
-	case RejectUnavailable:
-		srv.rejNoModel.Add(1)
-	case RejectDeadline:
-		srv.rejDeadline.Add(1)
-	case RejectShed:
-		srv.rejShed.Add(1)
-	default:
-		srv.rejInternal.Add(1)
-	}
-	srv.met.reject(code)
+	srv.met.rejected[code].Inc()
 	t.reject = code
 	t.done <- t
 	srv.inflight.Done()
@@ -550,10 +532,9 @@ func (sh *shard) score() {
 	defer sh.recoverBatch()
 	srv := sh.srv
 	n := uint64(len(sh.batch))
-	srv.batches.Add(1)
+	srv.met.batches.Inc()
 	for prev := srv.maxBatch.Load(); n > prev && !srv.maxBatch.CompareAndSwap(prev, n); prev = srv.maxBatch.Load() {
 	}
-	srv.met.batches.Inc()
 	srv.met.batchSize.Observe(float64(n))
 
 	// Dequeue-time admission: one clock read covers the whole batch.
@@ -605,15 +586,11 @@ func (sh *shard) score() {
 		var out Outcome
 		if !okv[i] {
 			out.Status = StatusEpsilon
-			srv.epsilon.Add(1)
 		} else if out.Q = qs[i]; out.Q > srv.cfg.Threshold {
 			out.Status = StatusAccepted
-			srv.accepted.Add(1)
 		} else {
 			out.Status = StatusDiscarded
-			srv.discarded.Add(1)
 		}
-		srv.met.scored(out.Status)
 		if srv.cfg.Quality != nil {
 			srv.cfg.Quality.Observe(quality.Observation{
 				Source: t.source,
@@ -629,6 +606,9 @@ func (sh *shard) score() {
 		sh.outs = append(sh.outs, out) //lint:ignore hotpath-alloc shard-owned buffer at fixed cap; append never grows past BatchSize
 		sh.batch[i] = nil
 		t.out = out
+		// Counted with the answer, not before the observers: a panic in
+		// one leaves the task to recoverBatch, which counts it as internal.
+		srv.met.scored[out.Status].Inc()
 		t.done <- t
 		srv.inflight.Done()
 	}
