@@ -13,8 +13,8 @@ const (
 	breakerClosed breakerState = iota
 	// breakerOpen fails requests fast until the cooldown elapses.
 	breakerOpen
-	// breakerHalfOpen lets exactly one probe through; its outcome decides
-	// between closing and re-opening.
+	// breakerHalfOpen has let exactly one probe through; its outcome
+	// decides between closing and re-opening.
 	breakerHalfOpen
 )
 
@@ -31,7 +31,6 @@ type breaker struct {
 	state    breakerState
 	fails    int
 	openedAt time.Time
-	probing  bool
 }
 
 // allow reports whether a request may proceed now. In the open state it
@@ -51,14 +50,9 @@ func (b *breaker) allow(now time.Time) bool {
 			return false
 		}
 		b.state = breakerHalfOpen
-		b.probing = true
 		return true
-	default: // half-open
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
+	default: // half-open: the probe is in flight
+		return false
 	}
 }
 
@@ -70,7 +64,6 @@ func (b *breaker) success() {
 	b.mu.Lock()
 	b.state = breakerClosed
 	b.fails = 0
-	b.probing = false
 	b.mu.Unlock()
 }
 
@@ -87,7 +80,6 @@ func (b *breaker) failure(now time.Time) (opened bool) {
 	case breakerHalfOpen:
 		b.state = breakerOpen
 		b.openedAt = now
-		b.probing = false
 		return true
 	case breakerClosed:
 		b.fails++
