@@ -27,9 +27,10 @@
 //     for malformed input and explicit 429/reject frames under overload.
 //     Both submit through one task path: a task carries its own answer
 //     and comes back on a done channel its caller owns, sized so a
-//     combiner never blocks on a client. A binary connection is two
-//     goroutines — a reader admitting up to connWindow frames and a
-//     writer flushing once no answer is waiting; /score/batch starts
+//     combiner never blocks on a client. A binary connection is one
+//     goroutine: it admits up to connWindow frames, and before any read
+//     that could block it receives and flushes every answer it owes,
+//     including those another combiner produced; /score/batch starts
 //     every request and collects the answers on one channel. Submit and
 //     /score combine at once; the binary reader and /score/batch admit
 //     first and combine the shards they were elected for only before

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"cqm/internal/ckpt"
 	"cqm/internal/core"
 	"cqm/internal/fuzzy"
+	"cqm/internal/particle"
 	"cqm/internal/sensor"
 )
 
@@ -167,6 +170,89 @@ func TestShardingEquivalence(t *testing.T) {
 			stats := s.Stats()
 			if int(stats.Admitted) != len(frames) || int(stats.Scored()) != len(frames) {
 				t.Errorf("stats = %+v, want %d admitted and scored", stats, len(frames))
+			}
+		})
+	}
+}
+
+// TestBinaryFrontEquivalence carries the sharding property over real
+// sockets: the frames go through ServeBinary on 4 pipelined connections,
+// each sending every frame from its own starting offset, so many answers
+// are produced by another connection's combiner. Every answer must equal
+// the direct unsharded outcome at the wire's q15 resolution, at every
+// shard count.
+func TestBinaryFrontEquivalence(t *testing.T) {
+	m := variedMeasure(t)
+	frames := equivalenceFrames()
+	const threshold = 0.45
+	type key struct {
+		node particle.NodeID
+		seq  uint16
+	}
+	want := make(map[key]Response, len(frames))
+	for i, o := range directOutcomes(t, m, frames, threshold) {
+		f := frames[i]
+		wire, err := EncodeResponse(Response{Node: f.Node, Seq: f.Seq, SentMillis: f.SentMillis, Status: o.Status, Q: o.Q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[key{f.Node, f.Seq}], err = DecodeResponse(wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(want) != len(frames) {
+		t.Fatalf("frames share a node/seq: %d distinct of %d", len(want), len(frames))
+	}
+
+	const conns = 4
+	for _, shards := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("%d-shards", shards), func(t *testing.T) {
+			s, err := New(Config{Shards: shards, Threshold: threshold, Handle: ckpt.NewHandle(m)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := binaryFront(t, s)
+			var wg sync.WaitGroup
+			for c := 0; c < conns; c++ {
+				var stream []byte
+				for i := range frames {
+					frame, err := EncodeRequest(frames[(c*len(frames)/conns+i)%len(frames)])
+					if err != nil {
+						t.Fatal(err)
+					}
+					stream = append(stream, frame...)
+				}
+				conn := dialFront(t, addr)
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					if _, err := conn.Write(stream); err != nil {
+						t.Errorf("conn %d write: %v", c, err)
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					seen := make(map[key]bool, len(frames))
+					var buf [particle.FrameLen]byte
+					for range frames {
+						if _, err := io.ReadFull(conn, buf[:]); err != nil {
+							t.Errorf("conn %d after %d answers: %v", c, len(seen), err)
+							return
+						}
+						got, err := DecodeResponse(buf[:])
+						k := key{got.Node, got.Seq}
+						if err != nil || seen[k] || got != want[k] {
+							t.Errorf("conn %d: answer %+v (%v), want %+v", c, got, err, want[k])
+							return
+						}
+						seen[k] = true
+					}
+				}()
+			}
+			wg.Wait()
+			s.Drain()
+			if st := s.Stats(); st.Admitted != conns*uint64(len(frames)) || st.Admitted != st.Scored() {
+				t.Fatalf("admitted %d, scored %d, want %d", st.Admitted, st.Scored(), conns*len(frames))
 			}
 		})
 	}

@@ -8,8 +8,6 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"cqm/internal/particle"
 )
 
 // connWindow is the number of requests one pipelined connection may have
@@ -27,7 +25,7 @@ const connWindow = 128
 // reject frame and closes the connection — a desynchronized byte stream
 // cannot be re-synchronized safely. A peer that stalls mid-frame or
 // dribbles bytes slower than Config.IdleTimeout per frame is disconnected
-// rather than allowed to pin its serving goroutines forever.
+// rather than allowed to pin its serving goroutine forever.
 func (s *Server) ServeBinary(ln net.Listener) error {
 	var conns sync.WaitGroup
 	defer conns.Wait()
@@ -56,43 +54,61 @@ func armDeadline(set func(time.Time) error, idle time.Duration) {
 	_ = set(time.Now().Add(idle)) //lint:ignore nondeterminism connection deadlines are wall-clock by definition
 }
 
-// serveConn runs one connection on two goroutines: this one reads, admits
-// and scores frames, a writer encodes the answers. The connection owns
-// connWindow tasks; a task leaves the free list when a frame is read into
-// it and returns once its answer is written, so the reader stops reading
-// while the whole window is in flight. A shard the reader is elected to
-// combine is combined only where the reader could otherwise block — before
-// a socket read, before waiting on the free list, and before waiting for
-// the last answers — so the frames of one read fold into one batch.
+// serveConn runs one connection on one goroutine, which reads, admits,
+// combines, and writes the answers. The connection owns connWindow tasks; a
+// task leaves the free list when a frame is read into it and returns once
+// its answer is written. Before any read that could block, when the whole
+// window is in flight, and once at the end, the goroutine settles, so it
+// never waits on the socket while it owes an answer, and the frames of one
+// read fold into one batch.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	idle := s.cfg.IdleTimeout
-
 	done := make(chan *task, connWindow)
-	free := make(chan *task, connWindow)
-	for i := 0; i < connWindow; i++ {
-		free <- &task{done: done}
+	free := make([]*task, connWindow)
+	for i := range free {
+		free[i] = &task{done: done}
 	}
-	wrote := make(chan struct{})
-	go func() {
-		defer close(wrote)
-		writeAnswers(conn, done, free, idle)
-	}()
+	elected := make([]*shard, 0, s.cfg.Shards)
+	w := bufio.NewWriterSize(conn, 64<<10)
+	var werr error
+	// settle combines the shards this connection was elected for, receives
+	// every answer still owed (some produced by other connections'
+	// combiners, which never block on done: it holds the whole window),
+	// encodes them, and flushes under a write deadline, so a peer that
+	// stops reading is disconnected. The buffer holds the whole window, so
+	// only Flush writes to the socket. After a write error the answers are
+	// still received, unwritten, and the connection ends.
+	settle := func() error {
+		elected = combineAll(elected)
+		for len(free) < connWindow {
+			t := <-done
+			if werr == nil {
+				_, werr = w.Write(encodeAnswer(t))
+			}
+			free = append(free, t)
+		}
+		if werr == nil && w.Buffered() > 0 {
+			armDeadline(conn.SetWriteDeadline, idle)
+			werr = w.Flush()
+		}
+		return werr
+	}
 
 	r := bufio.NewReaderSize(conn, 64<<10)
-	elected := make([]*shard, 0, s.cfg.Shards)
 	for {
-		if len(free) == 0 {
-			elected = combineAll(elected)
+		mayBlock := r.Buffered() < maxRequestLen
+		if (mayBlock || len(free) == 0) && settle() != nil {
+			break
 		}
-		t := <-free
-		if r.Buffered() < maxRequestLen {
-			elected = combineAll(elected)
+		// Only a read that can reach the socket needs the deadline: a whole
+		// frame must land within the idle window, so a byte-dribbling
+		// client cannot hold the connection beyond one window.
+		if mayBlock {
+			armDeadline(conn.SetReadDeadline, idle)
 		}
-		// The deadline is re-armed per frame: a whole frame must land
-		// within the idle window, so a byte-dribbling client cannot hold
-		// the reader beyond one window.
-		armDeadline(conn.SetReadDeadline, idle)
+		t := free[len(free)-1]
+		free = free[:len(free)-1]
 		req, err := ReadRequest(r)
 		if err == nil {
 			t.req = req
@@ -102,7 +118,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, os.ErrDeadlineExceeded) {
-			free <- t
+			free = append(free, t)
 		} else {
 			// Best-effort protocol reject before closing; the client
 			// cannot be answered per-request once framing is lost.
@@ -111,35 +127,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		break
 	}
-	combineAll(elected)
-	// Every task back on the free list means every answer was written.
-	for i := 0; i < connWindow; i++ {
-		<-free
-	}
-	close(done)
-	<-wrote
-}
-
-// writeAnswers encodes answered tasks into the connection and hands each
-// task back to the free list. Answers coalesce in the buffer, which holds
-// the whole window, so only Flush writes to the socket: once no further
-// answer is waiting, or the buffer has no room for another frame. Each
-// flush re-arms the write deadline, so a peer that stops reading cannot
-// park the writer forever; after a write error the writer keeps returning
-// tasks, unwritten, so the reader never waits on a dead connection.
-func writeAnswers(conn net.Conn, done <-chan *task, free chan<- *task, idle time.Duration) {
-	w := bufio.NewWriterSize(conn, 64<<10)
-	var err error
-	for t := range done {
-		if err == nil {
-			_, err = w.Write(encodeAnswer(t))
-		}
-		free <- t
-		if err == nil && (len(done) == 0 || w.Available() < particle.FrameLen) {
-			armDeadline(conn.SetWriteDeadline, idle)
-			err = w.Flush()
-		}
-	}
+	_ = settle()
 }
 
 // encodeAnswer renders an answered task as its response frame, echoing

@@ -232,15 +232,15 @@ func TestNewHTTPServerHardenedTimeouts(t *testing.T) {
 	}
 }
 
-func TestTCPConnectionRunsTwoGoroutines(t *testing.T) {
+func TestTCPConnectionRunsOneGoroutine(t *testing.T) {
 	srv := biasServer(t, 0.75, Config{})
 	addr := binaryFront(t, srv)
 	frame, err := EncodeRequest(penRequest(1, 1, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// roundTrip proves the connection's goroutines are all running: the
-	// writer starts before the reader reads the first frame.
+	// roundTrip proves the connection's goroutine is running: it has
+	// read, scored and written a frame, and starts nothing else to do so.
 	roundTrip := func(conn net.Conn) {
 		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
@@ -257,8 +257,55 @@ func TestTCPConnectionRunsTwoGoroutines(t *testing.T) {
 	for i := 0; i < conns; i++ {
 		roundTrip(dialFront(t, addr))
 	}
-	if grew := runtime.NumGoroutine() - before; grew > 2*conns+slack {
-		t.Fatalf("%d binary connections added %d goroutines, want at most %d", conns, grew, 2*conns+slack)
+	if grew := runtime.NumGoroutine() - before; grew > conns+slack {
+		t.Fatalf("%d binary connections added %d goroutines, want at most %d", conns, grew, conns+slack)
+	}
+}
+
+func TestTCPForeignCombinerAnswerNotHeldByRead(t *testing.T) {
+	// A Submit parked in its observer combines the only shard, so the
+	// connection's one frame is answered by that combiner, not by the
+	// reader. The reader must wait for that answer and write it rather
+	// than block in a socket read that ends only with the 2-minute idle
+	// timeout.
+	held, release := make(chan struct{}), make(chan struct{})
+	var hold, unhold sync.Once
+	srv := biasServer(t, 0.75, Config{BatchObserver: func(*core.Measure, []Outcome) {
+		hold.Do(func() {
+			close(held)
+			<-release
+		})
+	}})
+	conn := dialFront(t, binaryFront(t, srv))
+	letGo := func() { unhold.Do(func() { close(release) }) }
+	t.Cleanup(letGo) // runs before the connection and server cleanups
+
+	parked := make(chan error, 1)
+	go func() {
+		_, err := srv.Submit(penRequest(2, 0, 0.5))
+		parked <- err
+	}()
+	<-held
+	frame, err := EncodeRequest(penRequest(1, 9, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the frame to be admitted", func() bool { return srv.Stats().Admitted == 2 })
+	letGo()
+
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var resp [particle.FrameLen]byte
+	if _, err := io.ReadFull(conn, resp[:]); err != nil {
+		t.Fatalf("answer combined by another goroutine not written: %v", err)
+	}
+	if got, err := DecodeResponse(resp[:]); err != nil || got.Rejected || got.Seq != 9 {
+		t.Fatalf("answer %+v, %v", got, err)
+	}
+	if err := <-parked; err != nil {
+		t.Fatal(err)
 	}
 }
 
