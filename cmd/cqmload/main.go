@@ -429,11 +429,13 @@ func newReport(opts options, f *fleet) (*report, error) {
 	case t.errors != typed || rep.Responses+typed != rep.Requests:
 		return nil, fmt.Errorf("client accounting violated: %d requests, %d responses, %d errors (%d typed)",
 			rep.Requests, rep.Responses, t.errors, typed)
-	case rep.Responses == 0:
-		return nil, fmt.Errorf("no request was answered (%d requests, errors %v)", rep.Requests, rep.Errors)
+	// A plain run's lost frame comes first: it can open the breaker so that
+	// every later request fast-fails, and then no request is answered.
 	case f.proxy == nil && (typed != 0 || rep.Client["transport_errors"] != 0):
 		return nil, fmt.Errorf("lost frames: %d requests, %d responses, %d failed attempts",
 			rep.Requests, rep.Responses, rep.Client["transport_errors"])
+	case rep.Responses == 0:
+		return nil, fmt.Errorf("no request was answered (%d requests, errors %v)", rep.Requests, rep.Errors)
 	}
 	if f.proxy == nil {
 		rep.Sent = rep.Client["attempts"]

@@ -58,3 +58,17 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCRC16 checks the table-driven CRC16 against the bitwise reference on
+// arbitrary input.
+func FuzzCRC16(f *testing.F) {
+	for _, frame := range seedFrames(f) {
+		f.Add(frame)
+	}
+	f.Add([]byte("123456789"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := CRC16(data), crc16Bitwise(data); got != want {
+			t.Fatalf("CRC16(% x) = 0x%04X, bitwise reference 0x%04X", data, got, want)
+		}
+	})
+}

@@ -111,10 +111,21 @@ type ContextPacket struct {
 
 // Encode serializes the packet into a fresh frame.
 func Encode(p ContextPacket) ([]byte, error) {
-	if p.HasQuality && (p.Quality < 0 || p.Quality > 1 || math.IsNaN(p.Quality)) {
-		return nil, fmt.Errorf("%w: %v", ErrQuality, p.Quality)
+	frame, err := AppendFrame(make([]byte, 0, FrameLen), p)
+	if err != nil {
+		return nil, err
 	}
-	frame := make([]byte, FrameLen)
+	return frame, nil
+}
+
+// AppendFrame appends the packet's frame to dst and returns the extended
+// slice; on error dst is returned unchanged. It allocates only when dst
+// lacks FrameLen bytes of spare capacity.
+func AppendFrame(dst []byte, p ContextPacket) ([]byte, error) {
+	if p.HasQuality && (p.Quality < 0 || p.Quality > 1 || math.IsNaN(p.Quality)) {
+		return dst, qualityError(p.Quality)
+	}
+	var frame [FrameLen]byte
 	frame[0] = SyncByte
 	frame[1] = Version
 	frame[2] = byte(p.Type)
@@ -128,22 +139,24 @@ func Encode(p ContextPacket) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint16(frame[18:20], q)
 	binary.BigEndian.PutUint16(frame[20:22], CRC16(frame[:20]))
-	return frame, nil
+	return append(dst, frame[:]...), nil //lint:ignore hotpath-alloc appends into the caller's buffer; the binary front's write buffer holds a whole window of answers
+}
+
+// qualityError reports a quality annotation outside [0,1]. It and
+// frameError are kept out of line, so the boxing of their arguments is not
+// inlined into the allocation-free encode and decode.
+//
+//cqm:coldpath
+//go:noinline
+func qualityError(q float64) error {
+	return fmt.Errorf("%w: %v", ErrQuality, q)
 }
 
 // Decode parses and verifies a frame.
 func Decode(frame []byte) (ContextPacket, error) {
-	if len(frame) != FrameLen {
-		return ContextPacket{}, fmt.Errorf("%w: %d bytes, want %d", ErrFrameLength, len(frame), FrameLen)
-	}
-	if frame[0] != SyncByte {
-		return ContextPacket{}, fmt.Errorf("%w: 0x%02X", ErrSync, frame[0])
-	}
-	if frame[1] != Version {
-		return ContextPacket{}, fmt.Errorf("%w: %d", ErrVersion, frame[1])
-	}
-	if got, want := binary.BigEndian.Uint16(frame[20:22]), CRC16(frame[:20]); got != want {
-		return ContextPacket{}, fmt.Errorf("%w: got 0x%04X, want 0x%04X", ErrCRC, got, want)
+	if len(frame) != FrameLen || frame[0] != SyncByte || frame[1] != Version ||
+		binary.BigEndian.Uint16(frame[20:22]) != CRC16(frame[:20]) {
+		return ContextPacket{}, frameError(frame)
 	}
 	p := ContextPacket{
 		Type:       PacketType(frame[2]),
@@ -155,7 +168,7 @@ func Decode(frame []byte) (ContextPacket, error) {
 	q := binary.BigEndian.Uint16(frame[18:20])
 	if q != noQuality {
 		if q > qualityScale {
-			return ContextPacket{}, fmt.Errorf("%w: raw 0x%04X", ErrQuality, q)
+			return ContextPacket{}, frameError(frame)
 		}
 		p.Quality = float64(q) / qualityScale
 		p.HasQuality = true
@@ -163,15 +176,37 @@ func Decode(frame []byte) (ContextPacket, error) {
 	return p, nil
 }
 
+// frameError explains why Decode refused frame, running its checks again
+// in order: length, sync byte, version, CRC, quality. Keeping the messages
+// here leaves Decode's accepting path free of formatting.
+//
+//cqm:coldpath
+//go:noinline
+func frameError(frame []byte) error {
+	switch {
+	case len(frame) != FrameLen:
+		return fmt.Errorf("%w: %d bytes, want %d", ErrFrameLength, len(frame), FrameLen)
+	case frame[0] != SyncByte:
+		return fmt.Errorf("%w: 0x%02X", ErrSync, frame[0])
+	case frame[1] != Version:
+		return fmt.Errorf("%w: %d", ErrVersion, frame[1])
+	}
+	if got, want := binary.BigEndian.Uint16(frame[20:22]), CRC16(frame[:20]); got != want {
+		return fmt.Errorf("%w: got 0x%04X, want 0x%04X", ErrCRC, got, want)
+	}
+	return fmt.Errorf("%w: raw 0x%04X", ErrQuality, binary.BigEndian.Uint16(frame[18:20]))
+}
+
 // QualityResolution is the worst-case quantization error of the q15
 // quality encoding.
 const QualityResolution = 0.5 / qualityScale
 
-// CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) over data.
-func CRC16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
+// crcTable holds the CRC-16/CCITT remainder of every byte value shifted
+// into the top of the register: one lookup replaces eight shift-and-xor
+// steps.
+var crcTable = func() (t [256]uint16) {
+	for b := range t {
+		crc := uint16(b) << 8
 		for i := 0; i < 8; i++ {
 			if crc&0x8000 != 0 {
 				crc = crc<<1 ^ 0x1021
@@ -179,6 +214,17 @@ func CRC16(data []byte) uint16 {
 				crc <<= 1
 			}
 		}
+		t[b] = crc
+	}
+	return t
+}()
+
+// CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) over data,
+// one table lookup per byte.
+func CRC16(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
 	}
 	return crc
 }

@@ -1,6 +1,7 @@
 package particle
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -130,6 +131,78 @@ func TestCRC16KnownValue(t *testing.T) {
 	}
 	if got := CRC16(nil); got != 0xFFFF {
 		t.Errorf("CRC16(empty) = 0x%04X, want init value", got)
+	}
+}
+
+// crc16Bitwise is the bit-at-a-time CRC-16/CCITT-FALSE the table-driven
+// CRC16 replaced: the reference it must agree with on every input.
+func crc16Bitwise(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc ^= uint16(b) << 8
+		for i := 0; i < 8; i++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ 0x1021
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}
+
+func TestCRC16MatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := make([]byte, 256)
+	rng.Read(random)
+	ones := bytes.Repeat([]byte{0xFF}, 256)
+	for n := 0; n <= 256; n++ {
+		for _, data := range [][]byte{random[:n], ones[:n]} {
+			if got, want := CRC16(data), crc16Bitwise(data); got != want {
+				t.Fatalf("CRC16(% x) = 0x%04X, bitwise reference 0x%04X", data, got, want)
+			}
+		}
+	}
+}
+
+func TestAppendFrameMatchesEncode(t *testing.T) {
+	for _, p := range []ContextPacket{samplePacket(), {Type: TypeHeartbeat, Node: NodeIDFromString("n"), Seq: 65535}} {
+		want, err := Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte{1, 2, 3}
+		got, err := AppendFrame(prefix, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:3], prefix) || !bytes.Equal(got[3:], want) {
+			t.Fatalf("AppendFrame = % x, want % x after the prefix", got, want)
+		}
+	}
+	bad := samplePacket()
+	bad.Quality = 1.5
+	dst := []byte{9}
+	if got, err := AppendFrame(dst, bad); !errors.Is(err, ErrQuality) || len(got) != 1 {
+		t.Fatalf("AppendFrame(bad quality) = % x, %v; want dst unchanged and ErrQuality", got, err)
+	}
+	buf := make([]byte, 0, 4*FrameLen)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendFrame(buf[:0], samplePacket()) }); n != 0 {
+		t.Errorf("AppendFrame into spare capacity: %v allocs, want 0", n)
+	}
+}
+
+// crcSink keeps BenchmarkCRC16's result live.
+var crcSink uint16
+
+func BenchmarkCRC16(b *testing.B) {
+	// The largest request cue section: count byte, deadline, 16 cues.
+	data := make([]byte, 1+4+8*16)
+	rand.New(rand.NewSource(1)).Read(data)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	for i := 0; i < b.N; i++ {
+		crcSink = CRC16(data)
 	}
 }
 

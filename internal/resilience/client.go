@@ -337,10 +337,7 @@ func (cl *Client) Do(req serve.Request) (serve.Response, error) {
 		// header, and wait until the reader answers it or its connection
 		// fails.
 		req.DeadlineMillis = budgetMillis(budget)
-		frame, err := serve.EncodeRequest(req)
-		if err == nil {
-			err = cl.send(c, frame)
-		}
+		err := cl.send(c, req)
 		if err == nil {
 			err = <-c.done
 		}
@@ -421,10 +418,10 @@ func budgetMillis(budget time.Duration) uint32 {
 	return uint32(ms)
 }
 
-// send queues frame on the live connection and makes c wait on it. With
-// no live connection it dials one, or waits for the dial another sender
-// started; a failed dial fails every sender that waited for it.
-func (cl *Client) send(c *call, frame []byte) error {
+// send encodes req onto the live connection's queue and makes c wait on
+// it. With no live connection it dials one, or waits for the dial another
+// sender started; a failed dial fails every sender that waited for it.
+func (cl *Client) send(c *call, req serve.Request) error {
 	cl.mu.Lock()
 	for cl.live == nil {
 		d := cl.dialing
@@ -443,8 +440,13 @@ func (cl *Client) send(c *call, frame []byte) error {
 		cl.mu.Lock()
 	}
 	w := cl.live
+	out, err := serve.AppendRequest(w.out, req)
+	if err != nil {
+		cl.mu.Unlock()
+		return err
+	}
+	w.out = out
 	c.on = w
-	w.out = append(w.out, frame...)
 	if w.wake.IsZero() || c.deadline.Before(w.wake) {
 		w.wake = c.deadline
 		_ = w.conn.SetReadDeadline(w.wake)

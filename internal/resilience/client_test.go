@@ -685,7 +685,13 @@ func TestCloseStopsConnectionGoroutines(t *testing.T) {
 			t.Fatalf("%d reader goroutines with a live connection, want 1", n)
 		}
 		cl.Close()
-		if n := readers(cl); n != 0 {
+		// Close returns once the reader has run its deferred Done; the
+		// goroutine may still be on its way out, so give it up to 1 s.
+		n := readers(cl)
+		for deadline := time.Now().Add(time.Second); n != 0 && time.Now().Before(deadline); n = readers(cl) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n != 0 {
 			t.Fatalf("%d reader goroutines after Close, want 0", n)
 		}
 	}

@@ -61,8 +61,12 @@ const MaxCues = 16
 // deadlineFieldLen is the width of the deadline budget field.
 const deadlineFieldLen = 4
 
+// headLen is the length of a request's fixed head: the particle header
+// and the cue count.
+const headLen = particle.FrameLen + 1
+
 // maxRequestLen is the longest possible encoded request.
-const maxRequestLen = particle.FrameLen + 1 + deadlineFieldLen + 8*MaxCues + 2
+const maxRequestLen = headLen + deadlineFieldLen + 8*MaxCues + 2
 
 // Typed protocol errors of the serving frame codec. Header errors from
 // the particle codec (particle.ErrSync, particle.ErrCRC, …) pass through
@@ -167,19 +171,38 @@ func (r *Request) Validate() error {
 	return nil
 }
 
+// requestSize is the encoded length of a request with n cues and a deadline
+// field deadline bytes wide.
+func requestSize(n, deadline int) int {
+	return headLen + deadline + 8*n + 2
+}
+
 // EncodeRequest serializes a scoring request; a non-zero DeadlineMillis
 // selects the deadline-carrying wire form.
 func EncodeRequest(r Request) ([]byte, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	typ := TypeScoreRequest
 	deadline := 0
 	if r.DeadlineMillis > 0 {
-		typ = TypeScoreRequestDeadline
 		deadline = deadlineFieldLen
 	}
-	header, err := particle.Encode(particle.ContextPacket{
+	out, err := AppendRequest(make([]byte, 0, requestSize(len(r.Cues), deadline)), r)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AppendRequest appends r's encoding to dst and returns the extended
+// slice; on error dst is returned unchanged. A non-zero DeadlineMillis
+// selects the deadline-carrying wire form.
+func AppendRequest(dst []byte, r Request) ([]byte, error) {
+	if err := r.Validate(); err != nil {
+		return dst, err
+	}
+	typ := TypeScoreRequest
+	if r.DeadlineMillis > 0 {
+		typ = TypeScoreRequestDeadline
+	}
+	out, err := particle.AppendFrame(dst, particle.ContextPacket{
 		Type:       typ,
 		Node:       r.Node,
 		Seq:        r.Seq,
@@ -187,93 +210,93 @@ func EncodeRequest(r Request) ([]byte, error) {
 		ClassID:    r.ClassID,
 	})
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]byte, particle.FrameLen+1+deadline+8*len(r.Cues)+2)
-	copy(out, header)
-	out[particle.FrameLen] = byte(len(r.Cues))
-	if deadline > 0 {
-		binary.BigEndian.PutUint32(out[particle.FrameLen+1:], r.DeadlineMillis)
+	section := len(out)
+	out = append(out, byte(len(r.Cues)))
+	if r.DeadlineMillis > 0 {
+		out = binary.BigEndian.AppendUint32(out, r.DeadlineMillis)
 	}
-	for i, c := range r.Cues {
-		binary.BigEndian.PutUint64(out[particle.FrameLen+1+deadline+8*i:], math.Float64bits(c))
+	for _, c := range r.Cues {
+		out = binary.BigEndian.AppendUint64(out, math.Float64bits(c))
 	}
-	tail := particle.FrameLen + 1 + deadline + 8*len(r.Cues)
-	binary.BigEndian.PutUint16(out[tail:], particle.CRC16(out[particle.FrameLen:tail]))
-	return out, nil
+	return binary.BigEndian.AppendUint16(out, particle.CRC16(out[section:])), nil
 }
 
 // DecodeRequest parses and verifies one complete request frame.
 func DecodeRequest(data []byte) (Request, error) {
-	if len(data) < particle.FrameLen+1 {
-		return Request{}, fmt.Errorf("%w: %d bytes", ErrRequestLength, len(data))
+	if len(data) < headLen {
+		return Request{}, requestLengthError(len(data), -1)
 	}
-	pkt, err := particle.Decode(data[:particle.FrameLen])
+	var req Request
+	n, deadline, err := requestFromHeader(&req, data[:headLen])
 	if err != nil {
 		return Request{}, err
 	}
-	req, n, deadline, err := requestFromHeader(pkt, data[particle.FrameLen])
-	if err != nil {
-		return Request{}, err
+	if len(data) != requestSize(n, deadline) {
+		return Request{}, requestLengthError(len(data), n)
 	}
-	if len(data) != particle.FrameLen+1+deadline+8*n+2 {
-		return Request{}, fmt.Errorf("%w: %d bytes for %d cues", ErrRequestLength, len(data), n)
-	}
-	if err := decodeSection(&req, data[particle.FrameLen:], deadline); err != nil {
+	if err := decodeSection(&req, make([]float64, n), data[particle.FrameLen:], deadline); err != nil {
 		return Request{}, err
 	}
 	return req, nil
 }
 
-// requestFromHeader validates the decoded header and cue count, returning
-// the partially filled request and the width of the deadline field (0 for
-// the plain request form).
-func requestFromHeader(pkt particle.ContextPacket, count byte) (Request, int, int, error) {
-	deadline := 0
+// requestFromHeader validates a request's head (the particle header and
+// the cue count) and, only when it is valid, fills req's identity fields
+// and clears the rest. It returns the cue count and the width of the
+// deadline field (0 for the plain request form).
+func requestFromHeader(req *Request, head []byte) (n, deadline int, err error) {
+	pkt, err := particle.Decode(head[:particle.FrameLen])
+	if err != nil {
+		return 0, 0, err
+	}
 	switch pkt.Type {
 	case TypeScoreRequest:
 	case TypeScoreRequestDeadline:
 		deadline = deadlineFieldLen
 	default:
-		return Request{}, 0, 0, fmt.Errorf("%w: type 0x%02X", ErrRequestType, byte(pkt.Type))
+		return 0, 0, typeError(pkt.Type)
 	}
 	if pkt.HasQuality {
-		return Request{}, 0, 0, ErrRequestQuality
+		return 0, 0, ErrRequestQuality
 	}
-	n := int(count)
+	n = int(head[particle.FrameLen])
 	if n < 1 || n > MaxCues {
-		return Request{}, 0, 0, fmt.Errorf("%w: %d", ErrCueCount, n)
+		return 0, 0, cueCountError(n)
 	}
-	return Request{
+	*req = Request{
 		Node:       pkt.Node,
 		Seq:        pkt.Seq,
 		SentMillis: pkt.SentMillis,
 		ClassID:    pkt.ClassID,
-	}, n, deadline, nil
+	}
+	return n, deadline, nil
 }
 
 // decodeSection verifies the post-header section (count byte, optional
-// deadline budget, cues, CRC) and fills req.Cues and req.DeadlineMillis.
-// section starts at the count byte and spans exactly 1+deadline+8n+2
-// bytes, with deadline the width reported by requestFromHeader.
-func decodeSection(req *Request, section []byte, deadline int) error {
+// deadline budget, cues, CRC), decodes the n cues into cues (which has
+// room for them) and points req.Cues at them, and fills
+// req.DeadlineMillis. section starts at the count byte and spans exactly
+// 1+deadline+8n+2 bytes, with deadline the width reported by
+// requestFromHeader.
+func decodeSection(req *Request, cues []float64, section []byte, deadline int) error {
 	n := int(section[0])
 	body := section[:1+deadline+8*n]
 	if got, want := binary.BigEndian.Uint16(section[len(body):]), particle.CRC16(body); got != want {
-		return fmt.Errorf("%w: got 0x%04X, want 0x%04X", ErrCueCRC, got, want)
+		return cueCRCError(got, want)
 	}
 	if deadline > 0 {
 		req.DeadlineMillis = binary.BigEndian.Uint32(body[1:])
 	}
-	cues := make([]float64, n)
-	for i := range cues {
+	for i := 0; i < n; i++ {
 		c := math.Float64frombits(binary.BigEndian.Uint64(body[1+deadline+8*i:]))
 		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return fmt.Errorf("%w: cue %d is %v", ErrCueValue, i, c)
+			return cueValueError(i, c)
 		}
 		cues[i] = c
 	}
-	req.Cues = cues
+	req.Cues = cues[:n:n]
 	return nil
 }
 
@@ -281,31 +304,76 @@ func decodeSection(req *Request, section []byte, deadline int) error {
 // fixed header, the cue count, then exactly the declared cue (and, for the
 // deadline form, budget) section. It returns the decoded request; io
 // errors pass through (io.EOF at a clean frame boundary,
-// io.ErrUnexpectedEOF inside a frame).
+// io.ErrUnexpectedEOF inside a frame). It reads no byte past the frame.
 func ReadRequest(r io.Reader) (Request, error) {
 	var buf [maxRequestLen]byte
-	if _, err := io.ReadFull(r, buf[:particle.FrameLen+1]); err != nil {
+	if _, err := io.ReadFull(r, buf[:headLen]); err != nil {
 		return Request{}, err
 	}
-	pkt, err := particle.Decode(buf[:particle.FrameLen])
+	var req Request
+	n, deadline, err := requestFromHeader(&req, buf[:headLen])
 	if err != nil {
 		return Request{}, err
 	}
-	req, n, deadline, err := requestFromHeader(pkt, buf[particle.FrameLen])
-	if err != nil {
-		return Request{}, err
-	}
-	rest := deadline + 8*n + 2
-	if _, err := io.ReadFull(r, buf[particle.FrameLen+1:particle.FrameLen+1+rest]); err != nil {
+	size := requestSize(n, deadline)
+	if _, err := io.ReadFull(r, buf[headLen:size]); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return Request{}, err
 	}
-	if err := decodeSection(&req, buf[particle.FrameLen:particle.FrameLen+1+rest], deadline); err != nil {
+	if err := decodeSection(&req, make([]float64, n), buf[particle.FrameLen:size], deadline); err != nil {
 		return Request{}, err
 	}
 	return req, nil
+}
+
+// The codec's error constructors. Each formats its message off the
+// accepting path and is kept out of line, so the boxing of its arguments
+// is not inlined into the binary front's allocation-free per-frame decode.
+
+// requestLengthError reports a request of the wrong length; n < 0 means
+// the frame ended before its cue count.
+//
+//cqm:coldpath
+//go:noinline
+func requestLengthError(size, n int) error {
+	if n < 0 {
+		return fmt.Errorf("%w: %d bytes", ErrRequestLength, size)
+	}
+	return fmt.Errorf("%w: %d bytes for %d cues", ErrRequestLength, size, n)
+}
+
+// typeError reports a packet type the decoder does not expect.
+//
+//cqm:coldpath
+//go:noinline
+func typeError(t particle.PacketType) error {
+	return fmt.Errorf("%w: type 0x%02X", ErrRequestType, byte(t))
+}
+
+// cueCountError reports a cue count outside 1..MaxCues.
+//
+//cqm:coldpath
+//go:noinline
+func cueCountError(n int) error {
+	return fmt.Errorf("%w: %d", ErrCueCount, n)
+}
+
+// cueCRCError reports a corrupted cue section.
+//
+//cqm:coldpath
+//go:noinline
+func cueCRCError(got, want uint16) error {
+	return fmt.Errorf("%w: got 0x%04X, want 0x%04X", ErrCueCRC, got, want)
+}
+
+// cueValueError reports a non-finite cue.
+//
+//cqm:coldpath
+//go:noinline
+func cueValueError(i int, c float64) error {
+	return fmt.Errorf("%w: cue %d is %v", ErrCueValue, i, c)
 }
 
 // Status is the serving outcome of one admitted request.
@@ -355,6 +423,16 @@ type Response struct {
 
 // EncodeResponse serializes a response as a bare particle frame.
 func EncodeResponse(r Response) ([]byte, error) {
+	frame, err := AppendResponse(make([]byte, 0, particle.FrameLen), r)
+	if err != nil {
+		return nil, err
+	}
+	return frame, nil
+}
+
+// AppendResponse appends r's frame to dst and returns the extended slice;
+// on error dst is returned unchanged.
+func AppendResponse(dst []byte, r Response) ([]byte, error) {
 	pkt := particle.ContextPacket{
 		Node:       r.Node,
 		Seq:        r.Seq,
@@ -375,7 +453,7 @@ func EncodeResponse(r Response) ([]byte, error) {
 		pkt.Quality = r.Q
 		pkt.HasQuality = true
 	}
-	return particle.Encode(pkt)
+	return particle.AppendFrame(dst, pkt)
 }
 
 // DecodeResponse parses a response frame.
@@ -402,7 +480,7 @@ func DecodeResponse(frame []byte) (Response, error) {
 		resp.Rejected = true
 		resp.Reject = RejectCode(pkt.ClassID)
 	default:
-		return Response{}, fmt.Errorf("%w: type 0x%02X", ErrRequestType, byte(pkt.Type))
+		return Response{}, typeError(pkt.Type)
 	}
 	return resp, nil
 }

@@ -173,7 +173,10 @@ type Outcome struct {
 // another connection's task, and a slow client cannot stall a shard other
 // connections share.
 type task struct {
-	req    Request
+	req Request
+	// cues holds the decoded cues of a binary-front request; req.Cues
+	// points into it (readFrame). Submit's tasks carry the caller's slice.
+	cues   [MaxCues]float64
 	source string
 	done   chan *task
 	out    Outcome

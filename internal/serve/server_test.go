@@ -373,7 +373,7 @@ func TestShardOfMatchesRing(t *testing.T) {
 func answerFrame(s *Server, req Request) []byte {
 	t := &task{req: req, done: make(chan *task, 1)}
 	s.start(t)
-	return encodeAnswer(<-t.done)
+	return appendAnswer(nil, <-t.done)
 }
 
 func TestSubmitResponseEchoesIdentity(t *testing.T) {

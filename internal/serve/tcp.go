@@ -8,6 +8,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"cqm/internal/particle"
 )
 
 // connWindow is the number of requests one pipelined connection may have
@@ -76,15 +78,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	// every answer still owed (some produced by other connections'
 	// combiners, which never block on done: it holds the whole window),
 	// encodes them, and flushes under a write deadline, so a peer that
-	// stops reading is disconnected. The buffer holds the whole window, so
-	// only Flush writes to the socket. After a write error the answers are
+	// stops reading is disconnected. Each answer is encoded straight into
+	// the buffer's free space, which holds the whole window, so only Flush
+	// writes to the socket. After a write error the answers are
 	// still received, unwritten, and the connection ends.
 	settle := func() error {
 		elected = combineAll(elected)
 		for len(free) < connWindow {
 			t := <-done
 			if werr == nil {
-				_, werr = w.Write(encodeAnswer(t))
+				_, werr = w.Write(appendAnswer(w.AvailableBuffer(), t))
 			}
 			free = append(free, t)
 		}
@@ -109,9 +112,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		t := free[len(free)-1]
 		free = free[:len(free)-1]
-		req, err := ReadRequest(r)
+		err := readFrame(r, t)
 		if err == nil {
-			t.req = req
 			if sh := s.admit(t); sh != nil {
 				elected = append(elected, sh)
 			}
@@ -130,9 +132,52 @@ func (s *Server) serveConn(conn net.Conn) {
 	_ = settle()
 }
 
-// encodeAnswer renders an answered task as its response frame, echoing
+// readFrame reads and decodes the next request from r into t, its cues
+// into t.cues, and consumes the frame. It keeps ReadRequest's error
+// semantics: io.EOF at a frame boundary, io.ErrUnexpectedEOF inside a
+// frame, the codec's typed errors for a malformed frame.
+//
+// Reusing t.cues for every frame t carries is safe because no consumer
+// keeps the cue slice past the answer: core.Measure.ScoreBatch copies the
+// cues into its input vector, the quality engine never sees them, and the
+// adaptation supervisor's Decide copies them into its window
+// (adapt.Supervisor.Decide). Config.DecisionObserver documents the same
+// contract for any other observer.
+//
+//cqm:hotpath
+func readFrame(r *bufio.Reader, t *task) error {
+	head, err := r.Peek(headLen)
+	if err != nil {
+		return peekError(err, len(head))
+	}
+	n, deadline, err := requestFromHeader(&t.req, head)
+	if err != nil {
+		return err
+	}
+	size := requestSize(n, deadline)
+	frame, err := r.Peek(size)
+	if err != nil {
+		return peekError(err, len(frame))
+	}
+	err = decodeSection(&t.req, t.cues[:], frame[particle.FrameLen:], deadline)
+	_, _ = r.Discard(size)
+	return err
+}
+
+// peekError maps a short Peek onto io.ReadFull's errors: io.EOF only when
+// no byte of the frame arrived, io.ErrUnexpectedEOF when some did.
+func peekError(err error, got int) error {
+	if got > 0 && errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// appendAnswer appends an answered task's response frame to dst, echoing
 // the request identity.
-func encodeAnswer(t *task) []byte {
+//
+//cqm:hotpath
+func appendAnswer(dst []byte, t *task) []byte {
 	resp := Response{Node: t.req.Node, Seq: t.req.Seq, SentMillis: t.req.SentMillis}
 	if t.reject != RejectNone {
 		resp.Rejected = true
@@ -141,11 +186,11 @@ func encodeAnswer(t *task) []byte {
 		resp.Status = t.out.Status
 		resp.Q = t.out.Q
 	}
-	frame, err := EncodeResponse(resp)
+	out, err := AppendResponse(dst, resp)
 	if err != nil {
 		// Unreachable: outcomes are always encodable (q ∈ [0,1]); keep
 		// the connection alive with an internal reject if it ever isn't.
-		frame, _ = EncodeResponse(Response{Node: resp.Node, Seq: resp.Seq, SentMillis: resp.SentMillis, Rejected: true, Reject: RejectInternal})
+		out, _ = AppendResponse(dst, Response{Node: resp.Node, Seq: resp.Seq, SentMillis: resp.SentMillis, Rejected: true, Reject: RejectInternal})
 	}
-	return frame
+	return out
 }

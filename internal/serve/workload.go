@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"cqm/internal/classify"
 	"cqm/internal/core"
@@ -156,9 +157,26 @@ func (w *Workload) Item(pen, round int) Item {
 	return w.items[(off+round)%len(w.items)]
 }
 
-// PenNode derives the stable 8-byte node id of simulated pen i.
+// PenNode derives the stable 8-byte node id of simulated pen i: the name
+// fmt.Sprintf("p%07d", i) would give, truncated to 8 bytes, built without
+// allocating.
 func PenNode(i int) particle.NodeID {
-	return particle.NodeIDFromString(fmt.Sprintf("p%07d", i))
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	id := particle.NodeID{'p'}
+	n := 1
+	if d[0] == '-' {
+		id[n] = '-'
+		n++
+		d = d[1:]
+	}
+	// %07d pads with zeros to 7 characters, the sign included.
+	for pad := 7 - (n - 1) - len(d); pad > 0; pad-- {
+		id[n] = '0'
+		n++
+	}
+	copy(id[n:], d)
+	return id
 }
 
 // TrainQuickModel trains a small but real recognition stack — classifier

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"cqm/internal/core"
+	"cqm/internal/particle"
 	"cqm/internal/sensor"
 )
 
@@ -104,6 +108,22 @@ func TestPenNodeDistinct(t *testing.T) {
 			t.Fatalf("pens %d and %d share node id %q", prev, i, key)
 		}
 		seen[key] = i
+	}
+}
+
+func TestPenNodeMatchesSprintf(t *testing.T) {
+	pens := []int{0, 1, 9, 10, 999_999, 9_999_999, 10_000_000, 123_456_789, -1, -123_456, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		pens = append(pens, rng.Intn(20_000_000), -rng.Intn(2_000_000), int(rng.Int63()))
+	}
+	for _, i := range pens {
+		if got, want := PenNode(i), particle.NodeIDFromString(fmt.Sprintf("p%07d", i)); got != want {
+			t.Fatalf("PenNode(%d) = %q, want %q", i, got[:], want[:])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = PenNode(1234) }); n != 0 {
+		t.Errorf("PenNode: %v allocs, want 0", n)
 	}
 }
 
