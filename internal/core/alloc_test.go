@@ -7,16 +7,14 @@ import (
 	"cqm/internal/sensor"
 )
 
-// scoreBatchAllocBudget is today's measured ceiling for a serial
-// 64-observation ScoreBatch: three result buffers, one dispatch closure,
-// and one qualityInput vector per score (the remaining per-score
-// allocation — removing it is ROADMAP item 2). The //cqm:hotpath lint
-// waivers enumerate the same sites; this test keeps the number from
-// regressing silently.
-const scoreBatchAllocBudget = 72
+// scoreBatchAllocBudget is the allocation count of a serial
+// 64-observation ScoreBatch: its two result slices. The scoring itself
+// allocates nothing (TestScoreBatchIntoAllocs pins ScoreBatchInto at 0);
+// this test keeps the wrapper from regressing silently.
+const scoreBatchAllocBudget = 2
 
-// TestScoreBatchAllocBaseline guards the batch scoring path's allocation
-// count at its current baseline.
+// TestScoreBatchAllocBaseline guards the ScoreBatch wrapper's allocation
+// count at its two result slices.
 func TestScoreBatchAllocBaseline(t *testing.T) {
 	sys, err := fuzzy.NewTSK(2, []fuzzy.Rule{
 		{Antecedent: []fuzzy.Gaussian{{Mu: 0, Sigma: 0.3}, {Mu: 0, Sigma: 1}}, Coeffs: []float64{0, 0, 0}},

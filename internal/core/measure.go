@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"cqm/internal/anfis"
@@ -18,11 +19,16 @@ import (
 const scoreGrain = 16
 
 // Measure is the Context Quality Measure: the normalized quality FIS S_Q.
-// Build one with Build; score classifications with Score. Instrument
-// attaches runtime metrics; without it scoring stays completely
-// unobserved and allocation-free beyond the evaluation itself.
+// Build one with Build; score classifications with Score, or batches with
+// ScoreBatchInto. Instrument attaches runtime metrics; without it scoring
+// stays completely unobserved.
+//
+// Every constructor compiles sys into the serving kernel that
+// ScoreBatchInto and ScoreBatch run; Score and RawScore evaluate sys
+// itself and are the reference the kernel is tested against.
 type Measure struct {
 	sys *fuzzy.TSK
+	k   kernel
 	met measureMetrics
 }
 
@@ -38,7 +44,7 @@ func (m *Measure) Instrument(reg *obs.Registry) {
 // experiments build systems from alternative clusterings). The system must
 // map v_Q = (cues…, c) to the designated 0/1 output.
 func MeasureFromSystem(sys *fuzzy.TSK) *Measure {
-	return &Measure{sys: sys}
+	return &Measure{sys: sys, k: compileKernel(sys)}
 }
 
 // BuildConfig parameterizes the automated construction of the quality FIS
@@ -121,7 +127,7 @@ func Build(train, check []Observation, cfg BuildConfig) (*Measure, error) {
 			return nil, fmt.Errorf("core: hybrid learning: %w", err)
 		}
 	}
-	m := &Measure{sys: sys}
+	m := MeasureFromSystem(sys)
 	m.Instrument(cfg.Metrics)
 	return m, nil
 }
@@ -175,50 +181,70 @@ func (m *Measure) RawScore(cues []float64, class sensor.Context) (float64, error
 	}
 	raw, err := m.sys.Eval(qualityInput(cues, class))
 	if err != nil {
-		//lint:ignore hotpath-alloc ε-state path: allocates only for no-activation observations, which the batch path discards
 		return 0, fmt.Errorf("%w: %v", ErrEpsilon, err)
 	}
 	return raw, nil
 }
 
-// ScoreBatch scores every observation, optionally in parallel on pool
-// (nil runs serially), and returns per-index results: ok[i] reports
-// whether obs[i] normalized cleanly, and qs[i] is its quality value when
-// it did (ε-state observations leave ok[i] false). A non-ε error aborts
-// the batch, reporting the lowest failing index. The outputs are
-// bit-identical at every worker count: each slot is written by exactly
-// one worker and every score is an independent FIS evaluation.
+// errShortOutputs reports ScoreBatchInto outputs too short for the batch.
+var errShortOutputs = errors.New("core: ScoreBatchInto outputs are shorter than the batch")
+
+// ScoreBatchInto scores every observation into outputs the caller owns:
+// ok[i] reports whether batch[i] normalized cleanly, and qs[i] is its
+// quality value when it did (0 in the ε state). qs and ok must hold at
+// least len(batch) entries; only the first len(batch) are written. The values
+// are bit-identical to Score's, which also reports a cue vector of the
+// wrong length as ε, so ScoreBatchInto fails as a whole only on an
+// unbuilt measure, an empty batch, or short outputs.
+//
+// With instrumentation on, it adds the batch to the scored and ε counters
+// once and observes every clean q, in index order.
 //
 //cqm:hotpath
-func (m *Measure) ScoreBatch(observations []Observation, pool *parallel.Pool) (qs []float64, ok []bool, err error) {
-	if m == nil || m.sys == nil {
-		return nil, nil, ErrUnbuilt
+func (m *Measure) ScoreBatchInto(batch []Observation, qs []float64, ok []bool) error {
+	if err := m.checkBatch(len(batch), len(qs), len(ok)); err != nil {
+		return err
 	}
-	if len(observations) == 0 {
-		return nil, nil, ErrNoObservations
+	qs, ok = qs[:len(batch)], ok[:len(batch)]
+	for i := range batch {
+		qs[i], ok[i] = m.k.score(batch[i].Cues, batch[i].Class.ID())
 	}
-	qs = make([]float64, len(observations))  //lint:ignore hotpath-alloc result buffer: one make per batch, not per score
-	ok = make([]bool, len(observations))     //lint:ignore hotpath-alloc result buffer: one make per batch, not per score
-	errs := make([]error, len(observations)) //lint:ignore hotpath-alloc result buffer: one make per batch, not per score
+	m.met.batch(qs, ok)
+	return nil
+}
+
+// checkBatch validates a batch of n observations scored into outputs of
+// lengths nq and nok.
+func (m *Measure) checkBatch(n, nq, nok int) error {
+	switch {
+	case m == nil || m.sys == nil:
+		return ErrUnbuilt
+	case n == 0:
+		return ErrNoObservations
+	case nq < n || nok < n:
+		return errShortOutputs
+	}
+	return nil
+}
+
+// ScoreBatch scores every observation, optionally in parallel on pool
+// (nil runs serially), into fresh result slices; see ScoreBatchInto. The
+// outputs are bit-identical at every worker count: each slot is written
+// by exactly one worker and every score is an independent evaluation.
+func (m *Measure) ScoreBatch(observations []Observation, pool *parallel.Pool) ([]float64, []bool, error) {
+	n := len(observations)
+	if err := m.checkBatch(n, n, n); err != nil {
+		return nil, nil, err
+	}
+	qs, ok := make([]float64, n), make([]bool, n)
+	if pool == nil {
+		return qs, ok, m.ScoreBatchInto(observations, qs, ok)
+	}
 	// The ForEach error is always nil — the context is never cancelled.
-	//lint:ignore hotpath-alloc one closure per batch, amortized over every score in it
-	_ = pool.ForEach(context.Background(), len(observations), scoreGrain, func(i int) {
-		q, err := m.Score(observations[i].Cues, observations[i].Class)
-		if err != nil {
-			if !IsEpsilon(err) {
-				errs[i] = err
-			}
-			return
-		}
-		qs[i] = q
-		ok[i] = true
+	_ = pool.ForEach(context.Background(), n, scoreGrain, func(i int) {
+		qs[i], ok[i] = m.k.score(observations[i].Cues, observations[i].Class.ID())
 	})
-	for i, scoreErr := range errs {
-		if scoreErr != nil {
-			//lint:ignore hotpath-alloc cold abort path: a non-ε error ends the batch
-			return nil, nil, fmt.Errorf("core: scoring observation %d: %w", i, scoreErr)
-		}
-	}
+	m.met.batch(qs, ok)
 	return qs, ok, nil
 }
 
@@ -257,7 +283,9 @@ func (m *Measure) Inputs() int {
 	return m.sys.Inputs()
 }
 
-// System exposes the underlying fuzzy system for inspection.
+// System exposes the underlying fuzzy system for inspection. Treat it as
+// read-only: the serving kernel was compiled from it when the measure was
+// constructed, so a change to it would reach Score but not ScoreBatch.
 func (m *Measure) System() *fuzzy.TSK { return m.sys }
 
 // MarshalJSON serializes the measure (its quality FIS).
@@ -275,5 +303,6 @@ func (m *Measure) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("core: decoding measure: %w", err)
 	}
 	m.sys = &sys
+	m.k = compileKernel(&sys)
 	return nil
 }

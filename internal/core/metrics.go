@@ -113,6 +113,24 @@ func newMeasureMetrics(reg *obs.Registry) measureMetrics {
 	}
 }
 
+// batch records one scored batch: len(ok) scorings, the ε count, and the
+// q of every clean score in index order.
+func (mm measureMetrics) batch(qs []float64, ok []bool) {
+	if mm.scored == nil {
+		return
+	}
+	eps := 0
+	for i, clean := range ok {
+		if clean {
+			mm.quality.Observe(qs[i])
+		} else {
+			eps++
+		}
+	}
+	mm.scored.Add(int64(len(ok)))
+	mm.epsilon.Add(int64(eps))
+}
+
 // filterMetrics are the pre-resolved decision counters of a filter.
 type filterMetrics struct {
 	accepted *obs.Counter

@@ -29,18 +29,28 @@ var ErrEpsilon = errors.New("core: quality measure in error state ε")
 // NormalizeLiteral for the verbatim formula and the tests for the
 // distinction.
 func Normalize(x float64) (float64, error) {
+	q, ok := normalize(x)
+	if !ok {
+		return 0, fmt.Errorf("%w: raw output %v", ErrEpsilon, x)
+	}
+	return q, nil
+}
+
+// normalize is L with ε as a status: ok is false in the error state. The
+// serving kernel calls it directly, so an ε frame costs no error value;
+// Normalize and NormalizeLiteral wrap it.
+func normalize(x float64) (q float64, ok bool) {
 	switch {
 	case x >= 0 && x <= 1:
-		return x, nil
+		return x, true
 	case x >= -0.5 && x < 0:
 		// Distance |x| from the designated 0, folded into the interval.
-		return -x, nil
+		return -x, true
 	case x > 1 && x <= 1.5:
 		// Distance x−1 past the designated 1, folded back symmetrically.
-		return 2 - x, nil
+		return 2 - x, true
 	default:
-		//lint:ignore hotpath-alloc ε-state path: allocates only for out-of-range raw outputs
-		return 0, fmt.Errorf("%w: raw output %v", ErrEpsilon, x)
+		return 0, false
 	}
 }
 
@@ -49,16 +59,11 @@ func Normalize(x float64) (float64, error) {
 // for the ablation experiment comparing the literal formula against the
 // symmetric fold; production code uses Normalize.
 func NormalizeLiteral(x float64) (float64, error) {
-	switch {
-	case x >= 0 && x <= 1:
-		return x, nil
-	case x >= -0.5 && x < 0:
-		return -x, nil
-	case x > 1 && x <= 1.5:
+	q, err := Normalize(x)
+	if err == nil && x > 1 {
 		return 1 - x, nil
-	default:
-		return 0, fmt.Errorf("%w: raw output %v", ErrEpsilon, x)
 	}
+	return q, err
 }
 
 // IsEpsilon reports whether err represents the ε error state.

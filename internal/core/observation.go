@@ -107,7 +107,6 @@ func SplitByCorrectness(obs []Observation) (right, wrong []Observation) {
 
 // qualityInput builds v_Q = (v_1, …, v_n, c) for one observation.
 func qualityInput(cues []float64, class sensor.Context) []float64 {
-	//lint:ignore hotpath-alloc one input vector per score; ROADMAP item 1 (ScoreBatchInto with a per-shard scratch vector) removes it
 	v := make([]float64, len(cues)+1)
 	copy(v, cues)
 	v[len(cues)] = float64(class.ID())

@@ -1,7 +1,7 @@
 // Package serve puts the Context Quality Measure on the wire: a sharded
 // scoring service that sits between many unreliable context producers and
-// the appliances consuming their classifications — the middleware access
-// point the deployment story needs (ROADMAP item 1).
+// the appliances consuming their classifications — a middleware access
+// point for an AwareOffice-style deployment.
 //
 // The package is organized around four pieces:
 //
@@ -17,8 +17,8 @@
 //     and explicit backpressure, and no goroutine of its own: the
 //     goroutine whose admission finds a shard idle becomes its combiner
 //     (flat combining) and folds every queued request, up to BatchSize at
-//     a time, into one core.Measure.ScoreBatch per pass until the queue
-//     is empty. Hot model reload goes through ckpt.Handle (one model load
+//     a time, into one core.Measure.ScoreBatchInto per pass until the
+//     queue is empty, writing into result buffers the shard owns. Hot model reload goes through ckpt.Handle (one model load
 //     per batch — a swap never mixes models inside a batch), and a drain
 //     protocol guarantees every admitted request is scored or explicitly
 //     rejected, never silently dropped.

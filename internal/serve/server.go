@@ -84,7 +84,7 @@ type Config struct {
 	// ErrOverloaded. Default 1024.
 	QueueDepth int
 	// BatchSize caps how many queued requests are folded into one
-	// ScoreBatch call. Default 256.
+	// ScoreBatchInto call. Default 256.
 	BatchSize int
 	// Threshold is the acceptance threshold s applied to q.
 	Threshold float64
@@ -268,6 +268,8 @@ type shard struct {
 	pending atomic.Int64
 	batch   []*task
 	obs     []core.Observation
+	qs      []float64 // ScoreBatchInto's outputs, BatchSize long
+	okv     []bool
 	outs    []Outcome
 	shed    codel
 }
@@ -313,6 +315,8 @@ func New(cfg Config) (*Server, error) {
 			tasks: make(chan *task, cfg.QueueDepth),
 			batch: make([]*task, 0, cfg.BatchSize),
 			obs:   make([]core.Observation, 0, cfg.BatchSize),
+			qs:    make([]float64, cfg.BatchSize),
+			okv:   make([]bool, cfg.BatchSize),
 			outs:  make([]Outcome, 0, cfg.BatchSize),
 			shed:  codel{target: cfg.ShedTarget, interval: cfg.ShedInterval},
 		}
@@ -469,8 +473,7 @@ func (s *Server) Stats() Stats {
 // holds, so no receive blocks; the pass whose subtraction brings pending
 // back to 0 ends the loop, and the next admission elects a new combiner.
 // This is the serving hot loop — its buffers are shard-owned and reused,
-// so the steady state performs no allocation beyond ScoreBatch's own
-// accounted buffers.
+// so the steady state performs no allocation.
 //
 //cqm:hotpath
 func (sh *shard) combine() {
@@ -527,7 +530,7 @@ func (sh *shard) answerReject(t *task, code RejectCode) {
 }
 
 // score answers every task in the current batch: expired and shed tasks
-// with typed rejections before a ScoreBatch slot is spent, the rest with
+// with typed rejections before a ScoreBatchInto slot is spent, the rest with
 // scoring outcomes, all behind a panic barrier. The model handle is loaded
 // exactly once per batch: a hot swap lands between batches, never inside
 // one.
@@ -577,19 +580,18 @@ func (sh *shard) score() {
 			Class: sensor.ContextByID(int(t.req.ClassID)),
 		})
 	}
-	qs, okv, err := m.ScoreBatch(sh.obs, nil)
-	if err != nil {
-		// ScoreBatch fails as a whole only on an unbuilt system or a
-		// non-ε scoring error; both are explicit rejections, not drops.
+	if err := m.ScoreBatchInto(sh.obs, sh.qs, sh.okv); err != nil {
+		// ScoreBatchInto fails as a whole only on an unbuilt system, an
+		// explicit rejection rather than a drop.
 		sh.answerUnanswered(RejectInternal)
 		return
 	}
 	sh.outs = sh.outs[:0]
 	for i, t := range sh.batch {
 		var out Outcome
-		if !okv[i] {
+		if !sh.okv[i] {
 			out.Status = StatusEpsilon
-		} else if out.Q = qs[i]; out.Q > srv.cfg.Threshold {
+		} else if out.Q = sh.qs[i]; out.Q > srv.cfg.Threshold {
 			out.Status = StatusAccepted
 		} else {
 			out.Status = StatusDiscarded

@@ -138,8 +138,9 @@ func (s *Server) serveConn(conn net.Conn) {
 // frame, the codec's typed errors for a malformed frame.
 //
 // Reusing t.cues for every frame t carries is safe because no consumer
-// keeps the cue slice past the answer: core.Measure.ScoreBatch copies the
-// cues into its input vector, the quality engine never sees them, and the
+// keeps the cue slice past the answer: core.Measure.ScoreBatchInto reads
+// the cues in place while the task, which owns them until it is answered,
+// sits in the batch; the quality engine never sees them, and the
 // adaptation supervisor's Decide copies them into its window
 // (adapt.Supervisor.Decide). Config.DecisionObserver documents the same
 // contract for any other observer.
