@@ -88,7 +88,7 @@ func (n NodeID) String() string {
 	for end > 0 && n[end-1] == 0 {
 		end--
 	}
-	return string(n[:end])
+	return string(n[:end]) //lint:ignore hotpath-alloc the serving combiner calls this once per decision, and only while a DecisionObserver is set, to name the decision's source; the per-frame decision record (ROADMAP item 2) replaces that call
 }
 
 // ContextPacket is the decoded form of a context frame.
@@ -201,11 +201,13 @@ func frameError(frame []byte) error {
 // quality encoding.
 const QualityResolution = 0.5 / qualityScale
 
-// crcTable holds the CRC-16/CCITT remainder of every byte value shifted
-// into the top of the register: one lookup replaces eight shift-and-xor
-// steps.
-var crcTable = func() (t [256]uint16) {
-	for b := range t {
+// crcTables are the slicing-by-8 tables of CRC-16/CCITT: crcTables[0][b]
+// is the remainder of byte value b shifted into the top of the register
+// (one lookup replaces eight shift-and-xor steps), and crcTables[k][b] is
+// that remainder carried through k further zero bytes, so the eight
+// lookups of one 8-byte block can be combined with xor.
+var crcTables = func() (t [8][256]uint16) {
+	for b := range t[0] {
 		crc := uint16(b) << 8
 		for i := 0; i < 8; i++ {
 			if crc&0x8000 != 0 {
@@ -214,17 +216,31 @@ var crcTable = func() (t [256]uint16) {
 				crc <<= 1
 			}
 		}
-		t[b] = crc
+		t[0][b] = crc
+	}
+	for k := 1; k < len(t); k++ {
+		for b := range t[k] {
+			prev := t[k-1][b]
+			t[k][b] = prev<<8 ^ t[0][byte(prev>>8)]
+		}
 	}
 	return t
 }()
 
 // CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) over data,
-// one table lookup per byte.
+// eight bytes per step (slicing-by-8), then one table lookup per byte of
+// the tail. The 16-bit register folds into the first two bytes of each
+// block, since this CRC shifts most-significant bit first.
 func CRC16(data []byte) uint16 {
 	crc := uint16(0xFFFF)
+	t := &crcTables
+	for ; len(data) >= 8; data = data[8:] {
+		crc = t[7][byte(crc>>8)^data[0]] ^ t[6][byte(crc)^data[1]] ^
+			t[5][data[2]] ^ t[4][data[3]] ^ t[3][data[4]] ^
+			t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]]
+	}
 	for _, b := range data {
-		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
+		crc = crc<<8 ^ t[0][byte(crc>>8)^b]
 	}
 	return crc
 }

@@ -3,6 +3,7 @@ package particle
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -165,6 +166,23 @@ func TestCRC16MatchesBitwise(t *testing.T) {
 	}
 }
 
+// TestCRC16EveryStartOffset checks CRC16 against the bitwise reference on
+// slices that start at each offset 0–7 of one buffer, so that every
+// alignment of the 8-byte blocks against the buffer is covered, at lengths
+// that reach the block loop and the byte-wise tail.
+func TestCRC16EveryStartOffset(t *testing.T) {
+	buf := make([]byte, 8+64)
+	rand.New(rand.NewSource(2)).Read(buf)
+	for off := 0; off < 8; off++ {
+		for _, n := range []int{0, 1, 7, 8, 9, 16, 20, 25, 63, 64} {
+			data := buf[off : off+n]
+			if got, want := CRC16(data), crc16Bitwise(data); got != want {
+				t.Fatalf("offset %d, %d bytes: CRC16 = 0x%04X, bitwise reference 0x%04X", off, n, got, want)
+			}
+		}
+	}
+}
+
 func TestAppendFrameMatchesEncode(t *testing.T) {
 	for _, p := range []ContextPacket{samplePacket(), {Type: TypeHeartbeat, Node: NodeIDFromString("n"), Seq: 65535}} {
 		want, err := Encode(p)
@@ -195,14 +213,21 @@ func TestAppendFrameMatchesEncode(t *testing.T) {
 // crcSink keeps BenchmarkCRC16's result live.
 var crcSink uint16
 
+// BenchmarkCRC16 times the checksum at the sizes the binary front runs it
+// on: a 20-byte frame header, a 25-byte three-cue request section (count
+// byte, three cues), and the largest section, 133 bytes (count byte,
+// deadline, 16 cues).
 func BenchmarkCRC16(b *testing.B) {
-	// The largest request cue section: count byte, deadline, 16 cues.
-	data := make([]byte, 1+4+8*16)
-	rand.New(rand.NewSource(1)).Read(data)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		crcSink = CRC16(data)
+	for _, n := range []int{20, 25, 1 + 4 + 8*16} {
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			data := make([]byte, n)
+			rand.New(rand.NewSource(1)).Read(data)
+			b.ReportAllocs()
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				crcSink = CRC16(data)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package quality
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"cqm/internal/obs"
@@ -76,4 +77,53 @@ func BenchmarkObserveJoin(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkObserveFleet measures the serving shape of the quality feed:
+// 20k warm sources, a metrics registry, and a pre-built stream of random
+// sources folded in 24-decision batches (about a fleet batch). "batch"
+// folds each batch with one ObserveBatch keyed by node id, as the shard
+// does; "per-decision" makes one Observe per decision keyed by the name
+// string. ns/op is per decision.
+func BenchmarkObserveFleet(b *testing.B) {
+	const sources, batch = 20000, 24
+	names := make([]string, sources)
+	for i := range names {
+		names[i] = fmt.Sprintf("p%07d", i)
+	}
+	rng := rand.New(rand.NewSource(1))
+	byNode := make([]Observation, 1<<16)
+	byName := make([]Observation, len(byNode))
+	for i := range byNode {
+		name := names[rng.Intn(sources)]
+		byName[i] = Observation{Source: name, At: float64(i), HasQ: true, Q: 0.9}
+		byNode[i] = Observation{At: float64(i), HasQ: true, Q: 0.9}
+		copy(byNode[i].Node[:], name)
+	}
+	warm := func() *Engine {
+		e := NewEngine(Config{Threshold: 0.6, Metrics: obs.NewRegistry()})
+		for round := 0; round < 2; round++ {
+			for i := range names {
+				e.Observe(Observation{Source: names[i], HasQ: true, Q: 0.9})
+			}
+		}
+		return e
+	}
+	b.Run("batch", func(b *testing.B) {
+		e := warm()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += batch {
+			k := i / batch % (len(byNode) / batch) * batch
+			e.ObserveBatch(byNode[k : k+batch])
+		}
+	})
+	b.Run("per-decision", func(b *testing.B) {
+		e := warm()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Observe(byName[i%len(byName)])
+		}
+	})
 }

@@ -35,7 +35,7 @@ type Config struct {
 	Metrics *obs.Registry
 	// OnTrigger, when non-nil, receives one structured Trigger per
 	// detector firing (a Page–Hinkley alarm, or a KS test newly turning
-	// drifting), synchronously from Observe while the engine lock is
+	// drifting), synchronously from Observe or ObserveBatch while the engine lock is
 	// held — the hook must be fast and must not call back into the
 	// engine. This is the typed feed the adaptation supervisor consumes
 	// instead of parsing report Recommendation strings.
@@ -45,8 +45,14 @@ type Config struct {
 // Observation is one scoring decision fed to the engine.
 type Observation struct {
 	// Source names the producing sensor/pipeline (one tracking state per
-	// distinct name).
+	// distinct name). A non-empty Source takes precedence over Node.
 	Source string
+	// Node names the source when Source is empty: an 8-byte node id whose
+	// name is its bytes up to the trailing zero bytes, as
+	// particle.NodeID.String renders it. Naming a source by Node or by that
+	// string reaches the same tracking state; only a join builds the
+	// string.
+	Node [8]byte
 	// At is the observation's virtual time in seconds.
 	At float64
 	// Q is the context quality score, meaningful only when HasQ.
@@ -68,6 +74,9 @@ type Engine struct {
 	met      engineMetrics
 	sources  map[string]*source
 	observed int64
+	// unflushed counts the decisions and ε decisions folded since the
+	// metrics counters were last advanced (flushCounts).
+	unflushed, unflushedEps int64
 }
 
 // NewEngine returns an engine over cfg (zero fields take defaults).
@@ -84,6 +93,11 @@ func NewEngine(cfg Config) *Engine {
 	}
 }
 
+// observeChunk is how many observations ObserveBatch resolves to their
+// sources before it folds them; the resolved sources live in a stack array
+// of this size.
+const observeChunk = 32
+
 // Observe folds one decision into the engine: window statistics, lifetime
 // statistics, the Page–Hinkley detector, and (every KS.Every decisions per
 // source) the KS drift test.
@@ -95,29 +109,111 @@ func (e *Engine) Observe(o Observation) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s, ok := e.sources[o.Source]
-	if !ok {
-		s = newSource(e.cfg.Window, e.cfg.PH)
-		e.sources[o.Source] = s
-		e.met.sources.Set(float64(len(e.sources)))
+	e.fold(e.lookup(&o), &o)
+	e.flushCounts()
+}
+
+// ObserveBatch folds a batch of decisions in order, exactly as one Observe
+// per element would, under one acquisition of the engine lock. It resolves
+// each chunk of observeChunk observations to their sources before it
+// folds them, so the map lookups of a chunk do not wait on each other's
+// folds. The engine keeps no reference to batch.
+//
+//cqm:hotpath
+func (e *Engine) ObserveBatch(batch []Observation) {
+	if e == nil || len(batch) == 0 {
+		return
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var srcs [observeChunk]*source
+	for len(batch) > 0 {
+		chunk := batch[:min(len(batch), observeChunk)]
+		for i := range chunk {
+			srcs[i] = e.lookup(&chunk[i])
+		}
+		for i := range chunk {
+			e.fold(srcs[i], &chunk[i])
+		}
+		batch = batch[len(chunk):]
+	}
+	e.flushCounts()
+}
+
+// flushCounts adds the decisions folded since the last flush to the
+// metrics counters: once per batch, and before the OnTrigger hook runs, so
+// that a panicking hook leaves the counters agreeing with what was folded.
+// Called with the engine lock held.
+func (e *Engine) flushCounts() {
+	e.met.observations.Add(e.unflushed)
+	if e.unflushedEps > 0 {
+		e.met.epsilons.Add(e.unflushedEps)
+	}
+	e.unflushed, e.unflushedEps = 0, 0
+}
+
+// lookup returns the tracking state of o's source, joining it on first
+// sight. Called with the engine lock held.
+func (e *Engine) lookup(o *Observation) *source {
+	if o.Source != "" {
+		if s, ok := e.sources[o.Source]; ok {
+			return s
+		}
+	} else if s, ok := e.sources[string(o.Node[:nodeLen(&o.Node)])]; ok { //lint:ignore hotpath-alloc a map index by string(bytes) does not allocate; TestObserveBatchZeroAlloc pins it
+		return s
+	}
+	return e.join(o)
+}
+
+// nodeLen is the length of a node id's name: its bytes up to the trailing
+// zero bytes.
+func nodeLen(node *[8]byte) int {
+	n := len(node)
+	for n > 0 && node[n-1] == 0 {
+		n--
+	}
+	return n
+}
+
+// join starts tracking o's source. It runs once per source lifetime, so
+// its allocations are amortized to nothing on the per-observation path.
+// Called with the engine lock held.
+//
+//cqm:coldpath
+//go:noinline
+func (e *Engine) join(o *Observation) *source {
+	name := o.Source
+	if name == "" {
+		name = string(o.Node[:nodeLen(&o.Node)])
+	}
+	s := &source{
+		name: name,
+		ring: make([]sample, e.cfg.Window),
+		ph:   PageHinkley{cfg: e.cfg.PH},
+	}
+	e.sources[name] = s
+	e.met.sources.Set(float64(len(e.sources)))
+	return s
+}
+
+// fold adds one observation to its source s and runs the detectors on it.
+// Called with the engine lock held.
+func (e *Engine) fold(s *source, o *Observation) {
 	e.observed++
-	sm := sample{
+	e.unflushed++
+	if !o.HasQ {
+		e.unflushedEps++
+	}
+	fired := s.add(sample{
 		at:       o.At,
 		q:        o.Q,
 		hasQ:     o.HasQ,
 		accepted: o.HasQ && o.Q > e.cfg.Threshold,
 		degraded: o.Degraded,
-	}
-	fired := s.add(sm)
-
-	e.met.observations.Inc()
-	if !o.HasQ {
-		e.met.epsilons.Inc()
-	}
+	})
 	if fired {
 		e.met.driftPH.Inc()
-		e.fireTrigger(s, TriggerPH, o)
+		e.fireTrigger(s, TriggerPH, o.At)
 	}
 	// KS runs on a stride so its amortized cost stays O(1)-ish per
 	// observation; a fresh evaluation also happens at report time.
@@ -126,25 +222,26 @@ func (e *Engine) Observe(o Observation) {
 		s.ks = KSAgainst(e.cfg.Reference, s.windowQs(), e.cfg.KS)
 		if s.ks.Evaluated && s.ks.Drifting && !prev {
 			e.met.driftKS.Inc()
-			e.fireTrigger(s, TriggerKS, o)
+			e.fireTrigger(s, TriggerKS, o.At)
 		}
 	}
 }
 
 // fireTrigger counts one detector firing and hands the structured event to
 // the OnTrigger hook. Called with the engine lock held; the per-source
-// observation index of the firing observation is s.observed-1 (add already
-// folded it in).
-func (e *Engine) fireTrigger(s *source, kind string, o Observation) {
+// observation index of the firing observation, at virtual time at, is
+// s.observed-1 (add already folded it in).
+func (e *Engine) fireTrigger(s *source, kind string, at float64) {
 	s.triggers++
 	if e.cfg.OnTrigger == nil {
 		return
 	}
+	e.flushCounts()
 	e.cfg.OnTrigger(Trigger{
-		Source:   o.Source,
+		Source:   s.name,
 		Kind:     kind,
 		Severity: SeverityError,
-		At:       o.At,
+		At:       at,
 		Index:    s.observed - 1,
 		Window:   windowStatsOf(s),
 	})

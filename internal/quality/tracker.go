@@ -31,6 +31,9 @@ const maxDriftEpochs = 32
 // decisions with incrementally maintained windowed statistics, lifetime
 // Welford statistics, and the drift detectors.
 type source struct {
+	// name is the source's map key, as triggers report it.
+	name string
+
 	// Ring window of the most recent samples, oldest overwritten first.
 	ring []sample
 	next int
@@ -49,25 +52,13 @@ type source struct {
 	firstAt, lastAt                                   float64
 
 	// Drift detection.
-	ph       *PageHinkley
+	ph       PageHinkley
 	phFired  int64
 	phEpochs []DriftEpoch
 	ks       KSResult
 	// triggers counts lifetime detector firings (PH alarms plus new KS
 	// drift onsets) — the events handed to the OnTrigger hook.
 	triggers int64
-}
-
-// newSource returns tracking state for one source. It runs once per
-// source lifetime (first sight), so its allocations are amortized to
-// nothing on the per-observation path.
-//
-//cqm:coldpath
-func newSource(window int, ph PHConfig) *source {
-	return &source{
-		ring: make([]sample, window),
-		ph:   NewPageHinkley(ph),
-	}
 }
 
 // add folds one decision into the window and the lifetime statistics and

@@ -178,7 +178,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		t.req, t.done = req, done
-		if sh := s.admit(t); sh != nil {
+		if sh := s.admit(t, s.cfg.Clock()); sh != nil {
 			elected = append(elected, sh)
 		}
 		pending++

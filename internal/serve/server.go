@@ -97,7 +97,8 @@ type Config struct {
 	// are off.
 	Metrics *obs.Registry
 	// Quality, when non-nil, receives one engine observation per scored
-	// request (source = the request's node id).
+	// request (source = the request's node id), folded in once per batch
+	// before any request of the batch is answered.
 	Quality *quality.Engine
 	// BatchObserver, when non-nil, is called synchronously after every
 	// batch with the model that scored it and the per-request outcomes
@@ -177,7 +178,6 @@ type task struct {
 	// cues holds the decoded cues of a binary-front request; req.Cues
 	// points into it (readFrame). Submit's tasks carry the caller's slice.
 	cues   [MaxCues]float64
-	source string
 	done   chan *task
 	out    Outcome
 	reject RejectCode // RejectNone when scored
@@ -271,6 +271,7 @@ type shard struct {
 	qs      []float64 // ScoreBatchInto's outputs, BatchSize long
 	okv     []bool
 	outs    []Outcome
+	qobs    []quality.Observation // the batch's Quality feed
 	shed    codel
 }
 
@@ -318,6 +319,7 @@ func New(cfg Config) (*Server, error) {
 			qs:    make([]float64, cfg.BatchSize),
 			okv:   make([]bool, cfg.BatchSize),
 			outs:  make([]Outcome, 0, cfg.BatchSize),
+			qobs:  make([]quality.Observation, 0, cfg.BatchSize),
 			shed:  codel{target: cfg.ShedTarget, interval: cfg.ShedInterval},
 		}
 	}
@@ -360,26 +362,27 @@ func (s *Server) Submit(req Request) (Outcome, error) {
 // start admits t and, if that makes the caller its shard's combiner,
 // combines the shard at once.
 func (s *Server) start(t *task) {
-	if sh := s.admit(t); sh != nil {
+	if sh := s.admit(t, s.cfg.Clock()); sh != nil {
 		sh.combine()
 	}
 }
 
-// admit validates, stamps and queues t on its source's shard. Exactly one
+// admit validates, stamps and queues t on its source's shard. now is the
+// caller's admission stamp, a clock read taken no earlier than the request
+// arrived; queue sojourn and the deadline budget run from it. Exactly one
 // answer then follows on t.done: a combiner's, or t itself carrying
 // RejectProtocol, RejectDraining or RejectOverloaded. admit returns the
 // shard when the caller has become its combiner; the caller must then
 // call combine before it next blocks, since every task queued on the
 // shard in the meantime waits for it.
-func (s *Server) admit(t *task) *shard {
+func (s *Server) admit(t *task, now time.Time) *shard {
 	t.out, t.reject = Outcome{}, RejectNone
 	if t.req.Validate() != nil {
 		t.reject = RejectProtocol
 		t.done <- t
 		return nil
 	}
-	t.source = t.req.Node.String()
-	t.enqueued = s.cfg.Clock()
+	t.enqueued = now
 	t.deadline = time.Time{}
 	if t.req.DeadlineMillis > 0 {
 		t.deadline = t.enqueued.Add(time.Duration(t.req.DeadlineMillis) * time.Millisecond)
@@ -587,6 +590,7 @@ func (sh *shard) score() {
 		return
 	}
 	sh.outs = sh.outs[:0]
+	sh.qobs = sh.qobs[:0]
 	for i, t := range sh.batch {
 		var out Outcome
 		if !sh.okv[i] {
@@ -596,23 +600,33 @@ func (sh *shard) score() {
 		} else {
 			out.Status = StatusDiscarded
 		}
+		sh.outs = append(sh.outs, out) //lint:ignore hotpath-alloc shard-owned buffer at fixed cap; append never grows past BatchSize
 		if srv.cfg.Quality != nil {
-			srv.cfg.Quality.Observe(quality.Observation{
-				Source: t.source,
-				At:     float64(t.req.SentMillis) / 1000,
-				Q:      out.Q,
-				HasQ:   out.Status != StatusEpsilon,
+			sh.qobs = append(sh.qobs, quality.Observation{ //lint:ignore hotpath-alloc shard-owned buffer at fixed cap; append never grows past BatchSize
+				Node: t.req.Node,
+				At:   float64(t.req.SentMillis) / 1000,
+				Q:    out.Q,
+				HasQ: out.Status != StatusEpsilon,
 			})
 		}
+	}
+	// The whole batch is observed before any of it is answered, so a
+	// client never holds an answer that /quality does not yet count. A
+	// panic here (only the engine's OnTrigger hook can raise one) leaves
+	// every task to recoverBatch.
+	srv.cfg.Quality.ObserveBatch(sh.qobs)
+	for i, t := range sh.batch {
+		out := sh.outs[i]
 		if srv.cfg.DecisionObserver != nil {
-			srv.cfg.DecisionObserver(t.source, float64(t.req.SentMillis)/1000,
+			// The name string is built only for the observer; the quality
+			// feed keys sources by the node id itself.
+			srv.cfg.DecisionObserver(t.req.Node.String(), float64(t.req.SentMillis)/1000,
 				t.req.Cues, int(t.req.ClassID), out)
 		}
-		sh.outs = append(sh.outs, out) //lint:ignore hotpath-alloc shard-owned buffer at fixed cap; append never grows past BatchSize
 		sh.batch[i] = nil
 		t.out = out
-		// Counted with the answer, not before the observers: a panic in
-		// one leaves the task to recoverBatch, which counts it as internal.
+		// Counted with the answer, not before the observer: a panic in it
+		// leaves the task to recoverBatch, which counts it as internal.
 		srv.met.scored[out.Status].Inc()
 		t.done <- t
 		srv.inflight.Done()

@@ -63,6 +63,15 @@ func armDeadline(set func(time.Time) error, idle time.Duration) {
 // window is in flight, and once at the end, the goroutine settles, so it
 // never waits on the socket while it owes an answer, and the frames of one
 // read fold into one batch.
+//
+// The frames of one read burst share one admission stamp. The clock is
+// read after each read that could reach the socket returns, never before
+// it, so time the connection spent idle is never charged to the frame
+// that ends the idle spell; and it is read again after every settle, so a
+// frame admitted later than a settle is not charged for it either. A stamp
+// is thus never earlier than the read that delivered its frame, and later
+// than it by at most the decode and admission of the frames before it in
+// the burst.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	idle := s.cfg.IdleTimeout
@@ -99,9 +108,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	r := bufio.NewReaderSize(conn, 64<<10)
+	var now time.Time
 	for {
 		mayBlock := r.Buffered() < maxRequestLen
-		if (mayBlock || len(free) == 0) && settle() != nil {
+		restamp := mayBlock || len(free) == 0
+		if restamp && settle() != nil {
 			break
 		}
 		// Only a read that can reach the socket needs the deadline: a whole
@@ -113,8 +124,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		t := free[len(free)-1]
 		free = free[:len(free)-1]
 		err := readFrame(r, t)
+		if restamp {
+			now = s.cfg.Clock()
+		}
 		if err == nil {
-			if sh := s.admit(t); sh != nil {
+			if sh := s.admit(t, now); sh != nil {
 				elected = append(elected, sh)
 			}
 			continue
