@@ -181,9 +181,9 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 }
 
 // TestObserveBatchZeroAlloc pins ObserveBatch's //cqm:hotpath contract:
-// once every source of the batch has joined, and between KS strides,
-// folding a batch allocates nothing, node-named sources included, with or
-// without a metrics registry.
+// once every source of the batch has a full window, and between KS
+// strides, folding a batch allocates nothing, node-named sources
+// included, with or without a metrics registry.
 func TestObserveBatchZeroAlloc(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -203,14 +203,23 @@ func TestObserveBatchZeroAlloc(t *testing.T) {
 			}
 			o.HasQ, o.Q = i%9 != 0, 0.5+float64(i%5)/10
 		}
-		e.ObserveBatch(batch)
-		if allocs := testing.AllocsPerRun(200, func() {
+		// Every source appears at least 4 times per batch, so Window
+		// batches fill every window.
+		for range c.cfg.Window {
+			e.ObserveBatch(batch)
+		}
+		for name, s := range e.sources {
+			if len(s.ring) != c.cfg.Window {
+				t.Fatalf("%s: warm-up left %q's window at %d samples, want it full at %d", c.name, name, len(s.ring), c.cfg.Window)
+			}
+		}
+		if n := mallocs(200, func() {
 			for i := range batch {
 				batch[i].At++
 			}
 			e.ObserveBatch(batch)
-		}); allocs != 0 {
-			t.Errorf("%s: ObserveBatch allocates %v per warm batch, want 0", c.name, allocs)
+		}); n != 0 {
+			t.Errorf("%s: 200 warm batches allocate %d times, want 0", c.name, n)
 		}
 	}
 }

@@ -34,10 +34,12 @@ type source struct {
 	// name is the source's map key, as triggers report it.
 	name string
 
-	// Ring window of the most recent samples, oldest overwritten first.
+	// Ring window of the most recent samples. It fills in order from
+	// ring[0], growing (source.grow) until it holds the engine's window;
+	// once full, next is the oldest slot, the one overwritten first.
+	// While it fills, next stays 0.
 	ring []sample
 	next int
-	n    int
 
 	// Windowed aggregates, maintained in O(1) per observation by adding
 	// the incoming sample and subtracting the evicted one. q ∈ [0,1], so
@@ -61,9 +63,10 @@ type source struct {
 	triggers int64
 }
 
-// add folds one decision into the window and the lifetime statistics and
-// runs the Page–Hinkley detector; it reports whether PH fired.
-func (s *source) add(sm sample) bool {
+// add folds one decision into the window of size window and the lifetime
+// statistics and runs the Page–Hinkley detector; it reports whether PH
+// fired.
+func (s *source) add(sm sample, window int) bool {
 	if s.observed == 0 {
 		s.firstAt = sm.at
 	}
@@ -71,8 +74,15 @@ func (s *source) add(sm sample) bool {
 	index := s.observed
 	s.observed++
 
-	// Evict the slot being overwritten once the ring has wrapped.
-	if s.n == len(s.ring) {
+	// Append while the window fills, growing the ring when it runs out of
+	// room; once it is full, evict the oldest sample and overwrite its slot.
+	if n := len(s.ring); n < window {
+		if n == cap(s.ring) {
+			s.grow(window)
+		}
+		s.ring = s.ring[:n+1]
+		s.ring[n] = sm
+	} else {
 		old := s.ring[s.next]
 		if old.hasQ {
 			s.wSum -= old.q
@@ -87,11 +97,12 @@ func (s *source) add(sm sample) bool {
 		if old.degraded {
 			s.wDegraded--
 		}
-	} else {
-		s.n++
+		s.ring[s.next] = sm
+		s.next++
+		if s.next == n {
+			s.next = 0
+		}
 	}
-	s.ring[s.next] = sm
-	s.next = (s.next + 1) % len(s.ring)
 
 	if sm.hasQ {
 		s.wSum += sm.q
@@ -201,11 +212,10 @@ func (s *source) velocity() float64 {
 
 // eachWindowed visits the windowed samples oldest first.
 func (s *source) eachWindowed(fn func(sample)) {
-	start := s.next - s.n
-	if start < 0 {
-		start += len(s.ring)
+	for _, sm := range s.ring[s.next:] {
+		fn(sm)
 	}
-	for i := 0; i < s.n; i++ {
-		fn(s.ring[(start+i)%len(s.ring)])
+	for _, sm := range s.ring[:s.next] {
+		fn(sm)
 	}
 }

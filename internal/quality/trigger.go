@@ -36,13 +36,13 @@ type Trigger struct {
 // since q ∈ [0,1]).
 func windowStatsOf(s *source) WindowStats {
 	ws := WindowStats{
-		Count:       s.n,
+		Count:       len(s.ring),
 		WithQuality: s.wWithQ,
 		Mean:        sanitize(s.windowMean()),
 		StdDev:      sanitize(s.windowStdDev()),
 	}
-	if s.n > 0 {
-		n := float64(s.n)
+	if len(s.ring) > 0 {
+		n := float64(len(s.ring))
 		ws.AcceptRate = sanitize(float64(s.wAccept) / n)
 		ws.EpsilonRate = sanitize(float64(s.wEpsilon) / n)
 		ws.DegradedRate = sanitize(float64(s.wDegraded) / n)
