@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -298,6 +299,23 @@ func BenchmarkSVDTall(b *testing.B) {
 		if _, err := FactorSVD(a); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSVDTraining factors random matrices at the two least-squares
+// shapes TrainQuickModel solves: the 36×8 classifier fit and the 114×20
+// quality-FIS fit, which it solves eight times.
+func BenchmarkSVDTraining(b *testing.B) {
+	for _, shape := range [][2]int{{114, 20}, {36, 8}} {
+		a := randomMatrix(rand.New(rand.NewSource(1)), shape[0], shape[1])
+		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FactorSVD(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

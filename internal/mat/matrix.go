@@ -66,24 +66,36 @@ func (m *Matrix) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *Matrix) Cols() int { return m.cols }
 
-// At returns the element at row i, column j. It panics with ErrBounds
-// semantics if the indices are out of range.
+// At returns the element at row i, column j. It panics with an error
+// that wraps ErrBounds if the indices are out of range.
 func (m *Matrix) At(i, j int) float64 {
-	m.check(i, j)
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
+	}
 	return m.data[i*m.cols+j]
 }
 
-// Set assigns v to the element at row i, column j.
+// Set assigns v to the element at row i, column j. It panics like At if
+// the indices are out of range.
 func (m *Matrix) Set(i, j int, v float64) {
-	m.check(i, j)
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
+	}
 	m.data[i*m.cols+j] = v
 }
 
-func (m *Matrix) check(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: index (%d,%d) out of range for %dx%d matrix", i, j, m.rows, m.cols))
-	}
+// indexError is the panic value of an out-of-range At or Set. The
+// unsigned compares there also reject negative indices, and the message
+// is formatted only when the panic is printed or inspected, which keeps
+// both accessors within the compiler's inlining budget: a call to a
+// formatting helper alone would exceed it.
+type indexError struct{ i, j, rows, cols int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("mat: index (%d,%d) out of range for %dx%d matrix", e.i, e.j, e.rows, e.cols)
 }
+
+func (e indexError) Unwrap() error { return ErrBounds }
 
 // Row returns a copy of row i.
 func (m *Matrix) Row(i int) []float64 {

@@ -249,3 +249,26 @@ func randomMatrix(r *rand.Rand, rows, cols int) *Matrix {
 	}
 	return m
 }
+
+func TestAtSetPanicValue(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    func(m *Matrix)
+		want string
+	}{
+		{"At row", func(m *Matrix) { m.At(2, 0) }, "mat: index (2,0) out of range for 2x3 matrix"},
+		{"At negative column", func(m *Matrix) { m.At(0, -1) }, "mat: index (0,-1) out of range for 2x3 matrix"},
+		{"Set column", func(m *Matrix) { m.Set(1, 3, 1) }, "mat: index (1,3) out of range for 2x3 matrix"},
+		{"Set negative row", func(m *Matrix) { m.Set(-1, 0, 1) }, "mat: index (-1,0) out of range for 2x3 matrix"},
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || err.Error() != tc.want || !errors.Is(err, ErrBounds) {
+					t.Errorf("%s: panic %v, want an ErrBounds error %q", tc.name, err, tc.want)
+				}
+			}()
+			tc.f(New(2, 3))
+		}()
+	}
+}

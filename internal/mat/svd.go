@@ -23,6 +23,12 @@ const maxJacobiSweeps = 60
 // rotations accumulated into V; the singular values are the resulting
 // column norms and U the normalized columns.
 //
+// The working copies of A and V are column-major, so each column the
+// rotations touch is one contiguous slice. Every sum, rotation, norm and
+// comparison is evaluated in the same form and order as on the row-major
+// matrices, so the result is the same to the bit; the differential fuzz
+// test in svd_ref_test.go holds it to that.
+//
 // Matrices with more columns than rows are handled by decomposing the
 // transpose and swapping U and V.
 func FactorSVD(a *Matrix) (*SVD, error) {
@@ -38,21 +44,24 @@ func FactorSVD(a *Matrix) (*SVD, error) {
 		return &SVD{U: t.V, S: t.S, V: t.U}, nil
 	}
 
-	w := a.Clone() // working copy whose columns get orthogonalized
-	v := Identity(n)
+	// Column j of w is w[j*m:(j+1)*m], column j of v is v[j*n:(j+1)*n]:
+	// the transpose's row-major data is A's column-major data.
+	w := a.T().data // working copy whose columns get orthogonalized
+	v := Identity(n).data
 
 	const eps = 1e-15
 	for sweep := 0; sweep < maxJacobiSweeps; sweep++ {
 		offDiag := false
 		for p := 0; p < n-1; p++ {
+			wp, vp := w[p*m:(p+1)*m], v[p*n:(p+1)*n]
 			for q := p + 1; q < n; q++ {
+				wq, vq := w[q*m:(q+1)*m], v[q*n:(q+1)*n]
 				var alpha, beta, gamma float64
-				for i := 0; i < m; i++ {
-					wp := w.At(i, p)
-					wq := w.At(i, q)
-					alpha += wp * wp
-					beta += wq * wq
-					gamma += wp * wq
+				for i, x := range wp {
+					y := wq[i]
+					alpha += x * x
+					beta += y * y
+					gamma += x * y
 				}
 				if math.Abs(gamma) <= eps*math.Sqrt(alpha*beta) || gamma == 0 {
 					continue
@@ -63,18 +72,8 @@ func FactorSVD(a *Matrix) (*SVD, error) {
 				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i := 0; i < m; i++ {
-					wp := w.At(i, p)
-					wq := w.At(i, q)
-					w.Set(i, p, c*wp-s*wq)
-					w.Set(i, q, s*wp+c*wq)
-				}
-				for i := 0; i < n; i++ {
-					vp := v.At(i, p)
-					vq := v.At(i, q)
-					v.Set(i, p, c*vp-s*vq)
-					v.Set(i, q, s*vp+c*vq)
-				}
+				rotate(wp, wq, c, s)
+				rotate(vp, vq, c, s)
 			}
 		}
 		if !offDiag {
@@ -82,19 +81,22 @@ func FactorSVD(a *Matrix) (*SVD, error) {
 		}
 	}
 
-	// Extract singular values and normalize the columns into U.
+	// Extract singular values and normalize the columns of w in place
+	// into U; a column whose norm is not positive becomes zero.
 	s := make([]float64, n)
-	u := New(m, n)
 	for j := 0; j < n; j++ {
+		col := w[j*m : (j+1)*m]
 		var norm float64
-		for i := 0; i < m; i++ {
-			norm = math.Hypot(norm, w.At(i, j))
+		for _, x := range col {
+			norm = math.Hypot(norm, x)
 		}
 		s[j] = norm
 		if norm > 0 {
-			for i := 0; i < m; i++ {
-				u.Set(i, j, w.At(i, j)/norm)
+			for i, x := range col {
+				col[i] = x / norm
 			}
+		} else {
+			clear(col)
 		}
 	}
 
@@ -117,14 +119,25 @@ func FactorSVD(a *Matrix) (*SVD, error) {
 	ss := make([]float64, n)
 	for dst, src := range order {
 		ss[dst] = s[src]
-		for i := 0; i < m; i++ {
-			su.Set(i, dst, u.At(i, src))
+		for i, x := range w[src*m : (src+1)*m] {
+			su.data[i*n+dst] = x
 		}
-		for i := 0; i < n; i++ {
-			sv.Set(i, dst, v.At(i, src))
+		for i, x := range v[src*n : (src+1)*n] {
+			sv.data[i*n+dst] = x
 		}
 	}
 	return &SVD{U: su, S: ss, V: sv}, nil
+}
+
+// rotate applies the plane rotation (c, s) to the column pair (x, y):
+// x ← c·x − s·y and y ← s·x + c·y, element by element.
+func rotate(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		yi := y[i]
+		x[i] = c*xi - s*yi
+		y[i] = s*xi + c*yi
+	}
 }
 
 // Rank returns the numerical rank: the number of singular values larger

@@ -84,7 +84,9 @@ func BenchmarkObserveJoin(b *testing.B) {
 // sources folded in 24-decision batches (about a fleet batch). "batch"
 // folds each batch with one ObserveBatch keyed by node id, as the shard
 // does; "per-decision" makes one Observe per decision keyed by the name
-// string. ns/op is per decision.
+// string. ns/op is per decision. Every source is warmed to a full window
+// first, so the timed loop folds steady-state decisions only and never
+// grows a ring; B/op should read 0.
 func BenchmarkObserveFleet(b *testing.B) {
 	const sources, batch = 20000, 24
 	names := make([]string, sources)
@@ -102,7 +104,7 @@ func BenchmarkObserveFleet(b *testing.B) {
 	}
 	warm := func() *Engine {
 		e := NewEngine(Config{Threshold: 0.6, Metrics: obs.NewRegistry()})
-		for round := 0; round < 2; round++ {
+		for round := 0; round < DefaultWindow; round++ {
 			for i := range names {
 				e.Observe(Observation{Source: names[i], HasQ: true, Q: 0.9})
 			}

@@ -40,8 +40,34 @@ func biasServer(t testing.TB, bias float64, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Drain)
+	drainOnCleanup(t, s)
 	return s
+}
+
+// drainTimeout bounds the drain that ends a test. A lost answer leaves
+// an admitted request in flight forever, and an unbounded Drain would
+// then stall the package until go test's own timeout.
+const drainTimeout = 30 * time.Second
+
+// drainOnCleanup drains s when the test ends. If the drain has not
+// returned within drainTimeout, the test fails with the accounting
+// counters, whose Admitted then exceeds Scored + AdmittedRejects.
+func drainOnCleanup(t testing.TB, s *Server) {
+	t.Helper()
+	t.Cleanup(func() {
+		done := make(chan struct{})
+		go func() {
+			s.Drain()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(drainTimeout):
+			st := s.Stats()
+			t.Errorf("Drain did not return within %v: admitted %d, scored %d + admitted rejects %d (%+v)",
+				drainTimeout, st.Admitted, st.Scored(), st.AdmittedRejects(), st)
+		}
+	})
 }
 
 // penRequest is a minimal valid one-cue request from the given pen.

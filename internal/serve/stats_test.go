@@ -53,7 +53,7 @@ func TestStatsMatchMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Drain)
+	drainOnCleanup(t, s)
 
 	seq := uint16(0)
 	submit := func(cue float64, deadlineMillis uint32, want error) {
