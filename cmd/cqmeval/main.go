@@ -33,7 +33,7 @@ import (
 	"fmt"
 	"os"
 
-	"cqm/internal/adapt"
+	"cqm/internal/adapt/scenario"
 	"cqm/internal/core"
 	"cqm/internal/eval"
 	"cqm/internal/obs"
@@ -189,7 +189,7 @@ func run(seed int64, experiment, metricsOut string, workers int, retransmit bool
 			return err
 		}
 		defer os.RemoveAll(dir)
-		out, err := adapt.RunDemo(adapt.DemoConfig{
+		out, err := scenario.RunDemo(scenario.DemoConfig{
 			Dir:     dir,
 			Seed:    seed,
 			Workers: max(workers, 1),

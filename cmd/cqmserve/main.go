@@ -40,7 +40,6 @@ import (
 	"cqm/internal/obs"
 	"cqm/internal/particle"
 	"cqm/internal/quality"
-	"cqm/internal/sensor"
 	"cqm/internal/serve"
 )
 
@@ -216,17 +215,7 @@ func run(opts options) error {
 		IdleTimeout:  opts.idleTimeout,
 	}
 	if sup != nil {
-		scfg.DecisionObserver = func(source string, at float64, cues []float64, classID int, out serve.Outcome) {
-			sup.Decide(adapt.Decision{
-				Source:   source,
-				At:       at,
-				Cues:     cues,
-				Class:    sensor.ContextByID(classID),
-				Q:        out.Q,
-				HasQ:     out.Status != serve.StatusEpsilon,
-				Accepted: out.Status == serve.StatusAccepted,
-			})
-		}
+		scfg.Adapt = sup
 	}
 	srv, err := serve.New(scfg)
 	if err != nil {

@@ -133,6 +133,16 @@ func checksumOf(data []byte) string {
 	return hex.EncodeToString([]byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
 }
 
+// FileCRC fingerprints a file's bytes (CRC32C hex), the same checksum a
+// journal line carries.
+func FileCRC(path string) (string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return "", fmt.Errorf("adapt: fingerprinting %s: %w", path, err)
+	}
+	return checksumOf(data), nil
+}
+
 // EncodeRecord renders one journal line (without the trailing newline).
 func EncodeRecord(r Record) ([]byte, error) {
 	payload, err := json.Marshal(r)

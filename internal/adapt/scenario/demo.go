@@ -1,4 +1,4 @@
-package adapt
+package scenario
 
 import (
 	"fmt"
@@ -29,7 +29,7 @@ type DemoConfig struct {
 func RunDemo(cfg DemoConfig) (string, error) {
 	model, threshold, err := quickModel(cfg.Seed, cfg.Workers)
 	if err != nil {
-		return "", fmt.Errorf("adapt: training demo incumbent: %w", err)
+		return "", fmt.Errorf("scenario: training demo incumbent: %w", err)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Self-healing lifecycle demo (seed %d)\n", cfg.Seed)
@@ -46,7 +46,7 @@ func RunDemo(cfg DemoConfig) (string, error) {
 			Metrics:   cfg.Metrics,
 		})
 		if err != nil {
-			return b.String(), fmt.Errorf("adapt: %s scenario: %w", mode, err)
+			return b.String(), fmt.Errorf("scenario: %s scenario: %w", mode, err)
 		}
 		if err := CheckScenario(res); err != nil {
 			return b.String(), err
@@ -76,12 +76,12 @@ func RunDemo(cfg DemoConfig) (string, error) {
 		Metrics:   cfg.Metrics,
 	})
 	if err != nil {
-		return b.String(), fmt.Errorf("adapt: replay scenario: %w", err)
+		return b.String(), fmt.Errorf("scenario: replay scenario: %w", err)
 	}
 	base := results[ModeHeal]
 	if replay.JournalCRC != base.JournalCRC || replay.ModelCRC != base.ModelCRC {
 		return b.String(), fmt.Errorf(
-			"adapt: replay at %d workers diverged: journal %s vs %s, model %s vs %s",
+			"scenario: replay at %d workers diverged: journal %s vs %s, model %s vs %s",
 			replayWorkers, replay.JournalCRC, base.JournalCRC, replay.ModelCRC, base.ModelCRC)
 	}
 	fmt.Fprintf(&b, "replay at %d workers: journal %s, model %s (bit-identical)\n",

@@ -1,9 +1,10 @@
-package adapt
+package scenario
 
 import (
 	"strings"
 	"testing"
 
+	"cqm/internal/adapt"
 	"cqm/internal/obs"
 )
 
@@ -31,7 +32,7 @@ func TestRunDemo(t *testing.T) {
 			counts[c.Name] = true
 		}
 	}
-	for _, name := range []string{MetricTriggers, MetricRetrainsStarted, MetricPromotions, MetricRollbacks, MetricQuarantined} {
+	for _, name := range []string{adapt.MetricTriggers, adapt.MetricRetrainsStarted, adapt.MetricPromotions, adapt.MetricRollbacks, adapt.MetricQuarantined} {
 		if !counts[name] {
 			t.Errorf("metric %s never incremented across the demo sweep", name)
 		}

@@ -1,4 +1,8 @@
-package adapt
+// Package scenario drives the adaptation supervisor end to end under
+// virtual time: recorded sensor sessions, an injected drift, the quality
+// engine's trigger, and the supervisor's full react cycle. It backs the
+// scenario tests and the cqmeval -adapt demo; cqmserve does not link it.
+package scenario
 
 import (
 	"fmt"
@@ -6,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"cqm/internal/adapt"
 	"cqm/internal/ckpt"
 	"cqm/internal/core"
 	"cqm/internal/fault"
@@ -63,7 +68,7 @@ type ScenarioResult struct {
 	// Mode echoes the scenario mode.
 	Mode string `json:"mode"`
 	// Records is the full adaptation journal.
-	Records []Record `json:"records"`
+	Records []adapt.Record `json:"records"`
 	// AcceptHealthy is the accept rate over the healthy phase.
 	AcceptHealthy float64 `json:"accept_healthy"`
 	// AcceptDrift is the accept rate over the drift phase up to the first
@@ -96,17 +101,17 @@ func genItems(seed int64, style sensor.Style, faults []fault.SensorFault, sessio
 	for s := 0; s < sessions; s++ {
 		readings, err := sensor.OfficeSession(style).Run(rng)
 		if err != nil {
-			return nil, fmt.Errorf("adapt: recording scenario session: %w", err)
+			return nil, fmt.Errorf("scenario: recording scenario session: %w", err)
 		}
 		if len(faults) > 0 {
 			inj := fault.NewInjector(seed+int64(s), faults...)
 			if readings, err = inj.Apply(readings); err != nil {
-				return nil, fmt.Errorf("adapt: injecting scenario faults: %w", err)
+				return nil, fmt.Errorf("scenario: injecting scenario faults: %w", err)
 			}
 		}
 		windows, err := (feature.Windower{Size: 100}).Slide(readings)
 		if err != nil {
-			return nil, fmt.Errorf("adapt: windowing scenario session: %w", err)
+			return nil, fmt.Errorf("scenario: windowing scenario session: %w", err)
 		}
 		for _, w := range windows {
 			items = append(items, scenarioItem{cues: w.Cues, class: w.Truth})
@@ -133,10 +138,10 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	switch cfg.Mode {
 	case ModeHeal, ModeQuarantine, ModeRollback:
 	default:
-		return nil, fmt.Errorf("adapt: unknown scenario mode %q", cfg.Mode)
+		return nil, fmt.Errorf("scenario: unknown mode %q", cfg.Mode)
 	}
 	if cfg.Dir == "" {
-		return nil, fmt.Errorf("adapt: scenario dir must be set")
+		return nil, fmt.Errorf("scenario: dir must be set")
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -172,7 +177,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		return nil, err
 	}
 
-	sup, err := New(Config{
+	sup, err := adapt.New(adapt.Config{
 		Dir:             filepath.Join(cfg.Dir, "adapt"),
 		ModelPath:       modelPath,
 		Watcher:         watcher,
@@ -228,15 +233,15 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			engine.Observe(quality.Observation{
 				Source: "pen", At: t, Q: q, HasQ: hasQ,
 			})
-			d := Decision{
-				Source: "pen", At: t, Cues: it.cues, Class: it.class,
-				Q: q, HasQ: hasQ, Accepted: accepted,
+			d := adapt.Decision{
+				At: t, Cues: it.cues, Class: it.class,
+				HasQ: hasQ, Accepted: accepted,
 			}
 			// Poisoned modes corrupt the pseudo-label channel while the
 			// supervisor is still buffering (pre-cycle); the honest stream
 			// resumes once the window is snapshotted. Serving telemetry
 			// (Accepted) stays honest throughout.
-			if poison && hasQ && sup.State() == StateIdle {
+			if poison && hasQ && sup.State() == adapt.StateIdle {
 				flip := !accepted
 				d.Label = &flip
 			}
@@ -279,16 +284,16 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	res.Records = sup.Journal()
 	res.Generation = watcher.Generation()
-	if res.JournalCRC, err = fileCRC(filepath.Join(cfg.Dir, "adapt", JournalName)); err != nil {
+	if res.JournalCRC, err = adapt.FileCRC(filepath.Join(cfg.Dir, "adapt", adapt.JournalName)); err != nil {
 		return nil, err
 	}
-	if res.ModelCRC, err = fileCRC(modelPath); err != nil {
+	if res.ModelCRC, err = adapt.FileCRC(modelPath); err != nil {
 		return nil, err
 	}
-	if res.LastGoodCRC, err = fileCRC(watcher.LastGoodPath()); err != nil {
+	if res.LastGoodCRC, err = adapt.FileCRC(watcher.LastGoodPath()); err != nil {
 		return nil, err
 	}
-	if _, err := VerifyJournal(filepath.Join(cfg.Dir, "adapt")); err != nil {
+	if _, err := adapt.VerifyJournal(filepath.Join(cfg.Dir, "adapt")); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -312,22 +317,13 @@ func rate(accepts, total int) float64 {
 	return float64(accepts) / float64(total)
 }
 
-// fileCRC fingerprints a file's bytes (CRC32C hex).
-func fileCRC(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", fmt.Errorf("adapt: fingerprinting %s: %w", path, err)
-	}
-	return checksumOf(data), nil
-}
-
 // CheckScenario asserts the mode-specific acceptance criteria on a
 // scenario result: the journal records the expected lifecycle, the
 // invariants hold, and the serving outcome matches the story (healed,
 // quarantined, or rolled back). The cqmeval -adapt smoke fails on any
 // violation.
 func CheckScenario(res *ScenarioResult) error {
-	if err := VerifyRecords(res.Records); err != nil {
+	if err := adapt.VerifyRecords(res.Records); err != nil {
 		return err
 	}
 	kinds := make(map[string]int)
@@ -336,57 +332,57 @@ func CheckScenario(res *ScenarioResult) error {
 	}
 	need := func(kind string) error {
 		if kinds[kind] == 0 {
-			return fmt.Errorf("adapt: %s scenario journal has no %q record (got %v)", res.Mode, kind, kinds)
+			return fmt.Errorf("scenario: %s scenario journal has no %q record (got %v)", res.Mode, kind, kinds)
 		}
 		return nil
 	}
 	forbid := func(kind string) error {
 		if kinds[kind] != 0 {
-			return fmt.Errorf("adapt: %s scenario journal unexpectedly has %d %q record(s)", res.Mode, kinds[kind], kind)
+			return fmt.Errorf("scenario: %s scenario journal unexpectedly has %d %q record(s)", res.Mode, kinds[kind], kind)
 		}
 		return nil
 	}
 	switch res.Mode {
 	case ModeHeal:
-		for _, k := range []string{KindTrigger, KindRetrainDone, KindGatePass, KindPromoted, KindCanaryPass} {
+		for _, k := range []string{adapt.KindTrigger, adapt.KindRetrainDone, adapt.KindGatePass, adapt.KindPromoted, adapt.KindCanaryPass} {
 			if err := need(k); err != nil {
 				return err
 			}
 		}
-		for _, k := range []string{KindQuarantine, KindRollback, KindRetrainFailed} {
+		for _, k := range []string{adapt.KindQuarantine, adapt.KindRollback, adapt.KindRetrainFailed} {
 			if err := forbid(k); err != nil {
 				return err
 			}
 		}
 		if res.AcceptAfter <= res.AcceptDrift {
-			return fmt.Errorf("adapt: heal scenario did not restore accept quality: drift %.3f, after %.3f",
+			return fmt.Errorf("scenario: heal scenario did not restore accept quality: drift %.3f, after %.3f",
 				res.AcceptDrift, res.AcceptAfter)
 		}
 		if res.ModelCRC != res.LastGoodCRC {
-			return fmt.Errorf("adapt: heal scenario last-good does not hold the promoted model")
+			return fmt.Errorf("scenario: heal scenario last-good does not hold the promoted model")
 		}
 	case ModeQuarantine:
-		for _, k := range []string{KindTrigger, KindRetrainDone, KindQuarantine} {
+		for _, k := range []string{adapt.KindTrigger, adapt.KindRetrainDone, adapt.KindQuarantine} {
 			if err := need(k); err != nil {
 				return err
 			}
 		}
-		for _, k := range []string{KindPromoted, KindGatePass, KindRollback} {
+		for _, k := range []string{adapt.KindPromoted, adapt.KindGatePass, adapt.KindRollback} {
 			if err := forbid(k); err != nil {
 				return err
 			}
 		}
 	case ModeRollback:
-		for _, k := range []string{KindTrigger, KindRetrainDone, KindGatePass, KindPromoted, KindRollback} {
+		for _, k := range []string{adapt.KindTrigger, adapt.KindRetrainDone, adapt.KindGatePass, adapt.KindPromoted, adapt.KindRollback} {
 			if err := need(k); err != nil {
 				return err
 			}
 		}
-		if err := forbid(KindCanaryPass); err != nil {
+		if err := forbid(adapt.KindCanaryPass); err != nil {
 			return err
 		}
 		if res.ModelCRC != res.LastGoodCRC {
-			return fmt.Errorf("adapt: rollback scenario serving model is not the restored last-good")
+			return fmt.Errorf("scenario: rollback scenario serving model is not the restored last-good")
 		}
 	}
 	return nil

@@ -1,22 +1,20 @@
-package adapt
+package scenario
 
 import (
 	"errors"
-	"strings"
 	"testing"
+
+	"cqm/internal/adapt"
 )
 
-func TestStateString(t *testing.T) {
-	for want, s := range map[string]State{
-		"idle": StateIdle, "retraining": StateRetraining, "gated": StateGated,
-		"promoting": StatePromoting, "canary": StateCanary,
-	} {
-		if got := s.String(); got != want {
-			t.Errorf("State(%d).String() = %q, want %q", s, got, want)
-		}
-	}
-	if got := State(99).String(); !strings.Contains(got, "99") {
-		t.Errorf("unknown state String() = %q, want the numeric fallback", got)
+// fullCycleRecords is a valid one-cycle heal journal.
+func fullCycleRecords() []adapt.Record {
+	return []adapt.Record{
+		{Seq: 1, Cycle: 1, Kind: adapt.KindTrigger, At: 10, Source: "pen", TriggerKind: "drift-ph", Window: adapt.WindowArtifactName, WindowHash: "abc", WindowLen: 8, BaselineAccept: 0.9},
+		{Seq: 2, Cycle: 1, Kind: adapt.KindRetrainDone, At: 10, Candidate: adapt.CandidateArtifactName, Epochs: 3, StopReason: "stub"},
+		{Seq: 3, Cycle: 1, Kind: adapt.KindGatePass, At: 10, CandidateRMSE: 0.2, IncumbentRMSE: 0.3, Agreement: 1},
+		{Seq: 4, Cycle: 1, Kind: adapt.KindPromoted, At: 10, BaselineAccept: 0.9},
+		{Seq: 5, Cycle: 1, Kind: adapt.KindCanaryPass, At: 14, BaselineAccept: 0.9, CanaryAccept: 1, CooldownUntil: 24},
 	}
 }
 
@@ -33,20 +31,20 @@ func TestRate(t *testing.T) {
 // result telling the wrong story for its mode must be rejected, so a
 // regression in the lifecycle cannot hide behind a green smoke.
 func TestCheckScenarioPolarity(t *testing.T) {
-	healRecords := func() []Record {
+	healRecords := func() []adapt.Record {
 		return fullCycleRecords()
 	}
-	quarantineRecords := []Record{
-		{Seq: 1, Cycle: 1, Kind: KindTrigger, At: 10},
-		{Seq: 2, Cycle: 1, Kind: KindRetrainDone, At: 10},
-		{Seq: 3, Cycle: 1, Kind: KindQuarantine, At: 10, Reason: "agreement"},
+	quarantineRecords := []adapt.Record{
+		{Seq: 1, Cycle: 1, Kind: adapt.KindTrigger, At: 10},
+		{Seq: 2, Cycle: 1, Kind: adapt.KindRetrainDone, At: 10},
+		{Seq: 3, Cycle: 1, Kind: adapt.KindQuarantine, At: 10, Reason: "agreement"},
 	}
-	rollbackRecords := []Record{
-		{Seq: 1, Cycle: 1, Kind: KindTrigger, At: 10},
-		{Seq: 2, Cycle: 1, Kind: KindRetrainDone, At: 10},
-		{Seq: 3, Cycle: 1, Kind: KindGatePass, At: 10},
-		{Seq: 4, Cycle: 1, Kind: KindPromoted, At: 10},
-		{Seq: 5, Cycle: 1, Kind: KindRollback, At: 14},
+	rollbackRecords := []adapt.Record{
+		{Seq: 1, Cycle: 1, Kind: adapt.KindTrigger, At: 10},
+		{Seq: 2, Cycle: 1, Kind: adapt.KindRetrainDone, At: 10},
+		{Seq: 3, Cycle: 1, Kind: adapt.KindGatePass, At: 10},
+		{Seq: 4, Cycle: 1, Kind: adapt.KindPromoted, At: 10},
+		{Seq: 5, Cycle: 1, Kind: adapt.KindRollback, At: 14},
 	}
 	goodHeal := &ScenarioResult{
 		Mode: ModeHeal, Records: healRecords(),
@@ -88,7 +86,7 @@ func TestCheckScenarioPolarity(t *testing.T) {
 	// An invalid journal fails before any mode-specific criterion.
 	broken := healRecords()
 	broken[1].Seq = 9
-	if err := CheckScenario(&ScenarioResult{Mode: ModeHeal, Records: broken}); !errors.Is(err, ErrJournalInvariant) {
+	if err := CheckScenario(&ScenarioResult{Mode: ModeHeal, Records: broken}); !errors.Is(err, adapt.ErrJournalInvariant) {
 		t.Errorf("invalid journal: err = %v, want ErrJournalInvariant", err)
 	}
 }

@@ -1,10 +1,11 @@
-package adapt
+package scenario
 
 import (
 	"encoding/json"
 	"sync"
 	"testing"
 
+	"cqm/internal/adapt"
 	"cqm/internal/core"
 )
 
@@ -35,7 +36,7 @@ func scenarioConfig(t *testing.T, mode string, seed int64, workers int) Scenario
 	}
 }
 
-func kindsOf(records []Record) []string {
+func kindsOf(records []adapt.Record) []string {
 	out := make([]string, len(records))
 	for i, r := range records {
 		out[i] = r.Kind

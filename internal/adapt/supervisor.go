@@ -67,16 +67,13 @@ func (s State) String() string {
 // (target 0); ε decisions are excluded from the retrain window but count
 // against the accept rate.
 type Decision struct {
-	// Source names the producing stream.
-	Source string
 	// At is the decision's virtual time in seconds.
 	At float64
-	// Cues is the classifier input of the scored observation.
+	// Cues is the classifier input of the scored observation. Decide
+	// copies it, so the caller may reuse the slice.
 	Cues []float64
 	// Class is the classified context.
 	Class sensor.Context
-	// Q is the quality score, meaningful only when HasQ.
-	Q float64
 	// HasQ is false for ε decisions.
 	HasQ bool
 	// Accepted reports q > threshold — the serving outcome, counted by
@@ -209,11 +206,17 @@ type cycleCtx struct {
 	baselineAccept float64
 	canarySeen     int
 	canaryAccepted int
+	// canaryClosed is set by the decision that completes the canary
+	// window; the counts are then frozen and canaryAt holds the verdict's
+	// clamped time until Step journals it.
+	canaryClosed bool
+	canaryAt     float64
 }
 
 // Supervisor is the adaptation state machine. Trigger and Decide are the
-// fast inputs (safe to call from scoring and engine hooks); Step performs
-// at most one journaled transition per call. All methods are safe for
+// fast inputs (safe to call from scoring and engine hooks): they only
+// update memory. Step performs at most one journaled transition per call,
+// and every journaled transition happens in Step. All methods are safe for
 // concurrent use; determinism is the caller's contract — feed decisions
 // and triggers in a deterministic order and call Step at deterministic
 // points, and the journal, artifacts, and promoted models replay
@@ -228,7 +231,9 @@ type Supervisor struct {
 	cycle int64
 	cur   cycleCtx
 
-	// Pseudo-label ring: non-ε decisions, oldest overwritten first.
+	// Pseudo-label ring: non-ε decisions, oldest overwritten first. Each
+	// slot keeps its cue slice, so a full ring takes new cues without
+	// allocating.
 	window     []core.Observation
 	windowNext int
 	windowN    int
@@ -348,8 +353,10 @@ func (s *Supervisor) Trigger(t quality.Trigger) bool {
 
 // Decide feeds one live scoring decision: it maintains the pseudo-label
 // window and the accept-rate baseline, and advances the canary watch when
-// one is open (completing it — rollback or pass — on its closing
-// decision).
+// one is open. The decision that completes the canary window freezes the
+// verdict's counts and time; the next Step rules on it and journals the
+// outcome. Decide touches memory only and, once every window slot holds
+// cues of the decision's length, does not allocate.
 func (s *Supervisor) Decide(d Decision) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -363,32 +370,34 @@ func (s *Supervisor) Decide(d Decision) {
 		if d.Label != nil {
 			label = *d.Label
 		}
-		s.window[s.windowNext] = core.Observation{
-			Cues:    append([]float64(nil), d.Cues...),
-			Class:   d.Class,
-			Correct: label,
-		}
+		slot := &s.window[s.windowNext]
+		slot.Cues = append(slot.Cues[:0], d.Cues...) //lint:ignore hotpath-alloc grows a ring slot only until it holds one decision's cues; a full window reuses every slot
+		slot.Class = d.Class
+		slot.Correct = label
 		s.windowNext = (s.windowNext + 1) % len(s.window)
 		if s.windowN < len(s.window) {
 			s.windowN++
 		}
 		s.met.windowSize.Set(float64(s.windowN))
 	}
-	if s.state == StateCanary {
+	if s.state == StateCanary && !s.cur.canaryClosed {
 		s.cur.canarySeen++
 		if d.Accepted {
 			s.cur.canaryAccepted++
 		}
 		if s.cur.canarySeen >= s.cfg.CanaryWindow {
-			s.finishCanary(d.At)
+			// Client-supplied decision stamps may jitter backwards; the
+			// journal's within-cycle At is non-decreasing by contract.
+			s.cur.canaryClosed = true
+			s.cur.canaryAt = max(d.At, s.cur.at)
 		}
 	}
 }
 
 // Step performs at most one journaled state-machine transition: opening a
 // cycle for a staged trigger, running the shadow retrain, ruling at the
-// validation gate, or promoting. It reports whether a transition ran. The
-// canary completes through Decide, not Step.
+// validation gate, promoting, or closing a completed canary window. It
+// reports whether a transition ran.
 func (s *Supervisor) Step() (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -412,7 +421,14 @@ func (s *Supervisor) Step() (bool, error) {
 	case StatePromoting:
 		worked, err = true, s.promote()
 	case StateCanary:
-		return false, nil
+		if !s.cur.canaryClosed {
+			return false, nil
+		}
+		// A failed close journals nothing and keeps the verdict staged;
+		// it is not reported as work, so Drain stops and the next Step
+		// retries.
+		s.finishCanary(s.cur.canaryAt)
+		worked = s.state != StateCanary
 	}
 	s.publishState()
 	return worked, err
@@ -712,15 +728,10 @@ func (s *Supervisor) promote() error {
 }
 
 // finishCanary rules on a completed canary window at the closing
-// decision's virtual time: a regression beyond tolerance restores the
-// last-good model (rollback), anything else marks the promotion good.
+// decision's clamped virtual time: a regression beyond tolerance restores
+// the last-good model (rollback), anything else marks the promotion good.
 // Called with the supervisor lock held.
 func (s *Supervisor) finishCanary(at float64) {
-	// Client-supplied decision stamps may jitter backwards; the journal's
-	// within-cycle At is non-decreasing by contract.
-	if at < s.cur.at {
-		at = s.cur.at
-	}
 	canaryAccept := float64(s.cur.canaryAccepted) / float64(s.cur.canarySeen)
 	if canaryAccept < s.cur.baselineAccept-s.cfg.CanaryTolerance {
 		reason := "canary accept rate regressed beyond tolerance"
@@ -742,11 +753,10 @@ func (s *Supervisor) finishCanary(at float64) {
 			CanaryAccept:   canaryAccept,
 		}, true); err != nil {
 			// The rollback bytes are on disk but the journal still shows the
-			// cycle in canary: surface the divergence (the canary stays open
-			// in memory, so the next decision retries the idempotent close).
+			// cycle in canary: surface the divergence (the verdict stays
+			// staged, so the next Step retries the idempotent close).
 			s.recordErr(fmt.Errorf("adapt: journaling rollback: %w", err))
 		}
-		s.publishState()
 		return
 	}
 	if err := s.cfg.Watcher.MarkGood(); err != nil {
@@ -763,7 +773,6 @@ func (s *Supervisor) finishCanary(at float64) {
 	}, false); err != nil {
 		s.recordErr(fmt.Errorf("adapt: journaling canary pass: %w", err))
 	}
-	s.publishState()
 }
 
 // recordErr surfaces an error from a path with no caller to return it to:
@@ -811,7 +820,7 @@ func (s *Supervisor) publishState() {
 }
 
 // Drain runs Step until no transition remains runnable (idle with nothing
-// staged, waiting on the window floor, or watching a canary). It is the
+// staged, waiting on the window floor, or watching an open canary). It is the
 // synchronous driver virtual-time harnesses use between batches.
 func (s *Supervisor) Drain() error {
 	for {

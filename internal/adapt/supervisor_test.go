@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,14 +99,14 @@ func stubTrain(candidate *core.Measure) func([]core.Observation, []core.Observat
 // at.
 func mkDecision(at, q, threshold float64) Decision {
 	return Decision{
-		Source: "pen", At: at, Cues: []float64{0.5}, Class: sensor.Context(0),
-		Q: q, HasQ: true, Accepted: q > threshold,
+		At: at, Cues: []float64{0.5}, Class: sensor.Context(0),
+		HasQ: true, Accepted: q > threshold,
 	}
 }
 
 func mustCRC(t *testing.T, path string) string {
 	t.Helper()
-	crc, err := fileCRC(path)
+	crc, err := FileCRC(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,6 +414,9 @@ func TestCanaryPassSurfacesLastGoodError(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.sup.Decide(mkDecision(float64(11+i), 0.9, 0.5))
 	}
+	if err := h.sup.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	recs := h.sup.Journal()
 	if len(recs) == 0 || recs[len(recs)-1].Kind != KindCanaryPass {
 		t.Fatalf("journal %+v, want terminal canary-pass", recs)
@@ -423,6 +427,20 @@ func TestCanaryPassSurfacesLastGoodError(t *testing.T) {
 	}
 	if h.sup.State() != StateIdle {
 		t.Fatalf("state %v after canary pass, want idle", h.sup.State())
+	}
+}
+
+func TestStateString(t *testing.T) {
+	for want, s := range map[string]State{
+		"idle": StateIdle, "retraining": StateRetraining, "gated": StateGated,
+		"promoting": StatePromoting, "canary": StateCanary,
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("State(%d).String() = %q, want %q", s, got, want)
+		}
+	}
+	if got := State(99).String(); !strings.Contains(got, "99") {
+		t.Errorf("unknown state String() = %q, want the numeric fallback", got)
 	}
 }
 

@@ -328,15 +328,11 @@ func addCallEdges(g *Graph, n *Node, call *ast.CallExpr, concrete []*types.Named
 // approximation: any implementor may be behind the interface.
 func addIfaceEdges(g *Graph, n *Node, iface *types.Interface, method *types.Func, concrete []*types.Named) {
 	for _, named := range concrete {
-		ptr := types.NewPointer(named)
-		if !types.Implements(named, iface) && !types.Implements(ptr, iface) {
+		ms := types.NewMethodSet(types.NewPointer(named))
+		if !implements(ms, iface) {
 			continue
 		}
-		sel := types.NewMethodSet(ptr).Lookup(method.Pkg(), method.Name())
-		if sel == nil {
-			continue
-		}
-		impl, ok := sel.Obj().(*types.Func)
+		impl, ok := ms.Lookup(method.Pkg(), method.Name()).Obj().(*types.Func)
 		if !ok {
 			continue
 		}
@@ -344,6 +340,46 @@ func addIfaceEdges(g *Graph, n *Node, iface *types.Interface, method *types.Func
 			n.addEdge(to, EdgeIface)
 		}
 	}
+}
+
+// implements reports whether the method set has every method of iface.
+// Each unit is type-checked on its own, so one module type can be two
+// distinct objects in two units (a package's own unit and the copy its
+// importers see), and types.Implements would miss an implementation whose
+// signature names such a type. Signatures are compared as text qualified
+// by package path instead.
+func implements(ms *types.MethodSet, iface *types.Interface) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		sel := ms.Lookup(m.Pkg(), m.Name())
+		if sel == nil || sigText(sel.Obj().Type()) != sigText(m.Type()) {
+			return false
+		}
+	}
+	return true
+}
+
+// sigText renders a method signature's parameter and result types, with
+// package-path qualifiers and without parameter names.
+func sigText(t types.Type) string {
+	sig, ok := t.(*types.Signature)
+	if !ok {
+		return ""
+	}
+	qual := func(p *types.Package) string { return p.Path() }
+	var b strings.Builder
+	for _, tup := range [...]*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteByte('(')
+		for i := 0; i < tup.Len(); i++ {
+			b.WriteString(types.TypeString(tup.At(i).Type(), qual))
+			b.WriteByte(',')
+		}
+		b.WriteByte(')')
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }
 
 // Reachable walks the graph from the given roots and returns, for every

@@ -106,6 +106,28 @@ func TestCallGraphReachability(t *testing.T) {
 	}
 }
 
+// TestCallGraphCrossUnitDispatch checks interface dispatch across compile
+// units. Each unit is type-checked on its own, so the external test unit
+// sees its own copy of crossunit.Decision; the call through its interface
+// must still link to (*Sink).Decide in the package's unit.
+func TestCallGraphCrossUnitDispatch(t *testing.T) {
+	prog, err := ProgramDir(filepath.Join("testdata", "callgraph", "crossunit"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := prog.Graph()
+	use := g.NodeByKey("example.test/pkg_test.use")
+	if use == nil {
+		t.Fatal("no node for the external test unit's use")
+	}
+	for _, e := range use.Edges() {
+		if e.To.Key == "example.test/pkg.(*Sink).Decide" && e.Kind == EdgeIface {
+			return
+		}
+	}
+	t.Errorf("use has edges %v, want an iface edge to (*Sink).Decide", use.Edges())
+}
+
 // FuzzCallGraph feeds hostile sources through the full load→type-check→
 // build pipeline: inputs that fail to parse or type-check are skipped;
 // everything that compiles must produce a graph without panicking, with

@@ -88,7 +88,7 @@ func (n NodeID) String() string {
 	for end > 0 && n[end-1] == 0 {
 		end--
 	}
-	return string(n[:end]) //lint:ignore hotpath-alloc the serving combiner calls this once per decision, and only while a DecisionObserver is set, to name the decision's source; the per-frame decision record (ROADMAP item 2) replaces that call
+	return string(n[:end])
 }
 
 // ContextPacket is the decoded form of a context frame.

@@ -131,7 +131,7 @@ func (a Accelerometer) digitize(v float64) float64 {
 	if a.Bits < 0 {
 		return v
 	}
-	steps := math.Pow(2, float64(a.Bits))
+	steps := math.Ldexp(1, a.Bits)
 	lsb := 2 * a.RangeG / steps
 	return math.Round(v/lsb) * lsb
 }

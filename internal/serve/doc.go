@@ -10,9 +10,8 @@
 //     CRC-guarded cue section, so a scoring request is self-delimiting on
 //     a byte stream and survives the same hostile-input discipline as the
 //     RF codec.
-//   - Consistent-hash ring (ring.go): source IDs map onto shards
-//     through a fixed ring of virtual nodes, so the shard map is stable
-//     under shard-count changes and ready for multi-node sharding.
+//   - Shard map (ring.go): source IDs map onto shards by jump consistent
+//     hash, so the map is even and stable under shard-count changes.
 //   - Server (server.go): per-shard bounded queues with admission control
 //     and explicit backpressure, and no goroutine of its own: the
 //     goroutine whose admission finds a shard idle becomes its combiner

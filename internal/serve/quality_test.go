@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cqm/internal/adapt"
 	"cqm/internal/ckpt"
 	"cqm/internal/obs"
 	"cqm/internal/particle"
@@ -72,14 +73,14 @@ func TestTCPQualityFeedMatchesObserve(t *testing.T) {
 	reg := obs.NewRegistry()
 	engine := qualityEngine(reg)
 	observed := reg.Counter(quality.MetricObservations)
-	// The decision observer runs just before each answer is sent.
+	// The Decide fake runs just before each answer is sent.
 	var answered atomic.Int64
-	decided := func(string, float64, []float64, int, Outcome) {
+	decided := decideFunc(func(adapt.Decision) {
 		if a, o := answered.Add(1), observed.Value(); o < a {
 			t.Errorf("answering decision %d, but the engine has observed only %d", a, o)
 		}
-	}
-	s, err := New(Config{Shards: 2, Threshold: threshold, Handle: ckpt.NewHandle(m), Quality: engine, DecisionObserver: decided})
+	})
+	s, err := New(Config{Shards: 2, Threshold: threshold, Handle: ckpt.NewHandle(m), Quality: engine, Adapt: decided})
 	if err != nil {
 		t.Fatal(err)
 	}

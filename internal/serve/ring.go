@@ -1,87 +1,38 @@
 package serve
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-)
+import "fmt"
 
-// DefaultReplicas is the virtual-node count per shard on the ring.
-// 64 vnodes keep the worst-case shard imbalance within a few percent at
-// the shard counts the server runs (1..64) while the ring stays small
-// enough to sit in cache.
-const DefaultReplicas = 64
-
-// ringPoint is one virtual node: a position on the hash circle owned by a
-// shard.
-type ringPoint struct {
-	hash  uint64
-	shard int
-}
-
-// Ring maps source identifiers onto shards by consistent hashing: each
-// shard owns DefaultReplicas points on a 64-bit circle, and a source goes
-// to the shard owning the first point at or after the source's hash. The
-// map is a pure function of (shards, replicas), so every process in a
-// deployment computes the same assignment, and changing the shard count
-// moves only ~1/n of the keyspace instead of reshuffling everything.
+// Ring maps source identifiers onto shards with Lamping and Veach's jump
+// consistent hash ("A Fast, Minimal Memory, Consistent Hash Algorithm",
+// 2014) over the source's FNV-1a hash. The map is a pure function of the
+// shard count, it spreads sources evenly, and growing from n to n+1
+// shards moves only ~1/(n+1) of them. It needs no table and no search.
 type Ring struct {
-	points []ringPoint
 	shards int
 }
 
-// NewRing builds the ring for n shards with the default replica count.
+// NewRing builds the map for n shards.
 func NewRing(n int) (*Ring, error) {
-	return NewRingReplicas(n, DefaultReplicas)
-}
-
-// NewRingReplicas builds the ring for n shards with r virtual nodes per
-// shard.
-func NewRingReplicas(n, r int) (*Ring, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("serve: ring needs at least one shard, got %d", n)
 	}
-	if r < 1 {
-		return nil, fmt.Errorf("serve: ring needs at least one replica, got %d", r)
-	}
-	points := make([]ringPoint, 0, n*r)
-	var key []byte
-	for s := 0; s < n; s++ {
-		for v := 0; v < r; v++ {
-			key = key[:0]
-			key = append(key, "shard-"...)
-			key = strconv.AppendInt(key, int64(s), 10)
-			key = append(key, '-')
-			key = strconv.AppendInt(key, int64(v), 10)
-			points = append(points, ringPoint{hash: fnv64a(key), shard: s})
-		}
-	}
-	sort.Slice(points, func(i, j int) bool {
-		if points[i].hash != points[j].hash {
-			return points[i].hash < points[j].hash
-		}
-		// Ties (vanishingly rare) break on shard index so the ring is a
-		// deterministic function of its inputs, not of sort stability.
-		return points[i].shard < points[j].shard
-	})
-	return &Ring{points: points, shards: n}, nil
+	return &Ring{shards: n}, nil
 }
 
 // Shards returns the shard count the ring was built for.
 func (r *Ring) Shards() int { return r.shards }
 
-// Shard returns the shard owning the source identifier.
-//
-// The lookup is allocation-free and lock-free: the ring is immutable
-// after construction.
+// Shard returns the shard owning the source identifier. The lookup is
+// allocation-free and lock-free.
 func (r *Ring) Shard(source []byte) int {
-	h := fnv64a(source)
-	// First point at or after h, wrapping to the first point.
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
+	key := fnv64a(source)
+	b, j := int64(-1), int64(0)
+	for j < int64(r.shards) {
+		b = j
+		key = key*2862933555777941757 + 1
+		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64(key>>33+1)))
 	}
-	return r.points[i].shard
+	return int(b)
 }
 
 // fnv64a is the FNV-1a 64-bit hash — stable across processes and

@@ -9,8 +9,8 @@ func TestRingValidates(t *testing.T) {
 	if _, err := NewRing(0); err == nil {
 		t.Error("NewRing(0) accepted")
 	}
-	if _, err := NewRingReplicas(2, 0); err == nil {
-		t.Error("NewRingReplicas(2, 0) accepted")
+	if _, err := NewRing(-1); err == nil {
+		t.Error("NewRing(-1) accepted")
 	}
 }
 
@@ -83,7 +83,7 @@ func TestRingStability(t *testing.T) {
 }
 
 func TestRingShardsAccessor(t *testing.T) {
-	r, err := NewRingReplicas(3, 16)
+	r, err := NewRing(3)
 	if err != nil {
 		t.Fatal(err)
 	}

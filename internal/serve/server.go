@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cqm/internal/adapt"
 	"cqm/internal/ckpt"
 	"cqm/internal/core"
 	"cqm/internal/obs"
@@ -108,13 +109,13 @@ type Config struct {
 	// of that shard wait while it runs. Test and analytics hook; keep it
 	// fast.
 	BatchObserver func(m *core.Measure, outs []Outcome)
-	// DecisionObserver, when non-nil, is called synchronously per scored
-	// request with the source, the request's virtual time in seconds, its
-	// cues and class id, and the outcome — the adaptation supervisor's
-	// decision feed. The cues slice is the request's own; copy to retain.
-	// Keep it fast: like BatchObserver it runs on whichever goroutine is
-	// combining the shard, which may be a binary reader or an HTTP handler.
-	DecisionObserver func(source string, at float64, cues []float64, classID int, out Outcome)
+	// Adapt, when non-nil, receives one adapt.Decision per scored
+	// request, just before its answer is sent: the request's virtual time
+	// in seconds, its cues and class, and the outcome. The cues are the
+	// request's own; Decide copies what it keeps. Like BatchObserver it
+	// runs on whichever goroutine is combining the shard, which may be a
+	// binary reader or an HTTP handler.
+	Adapt Decider
 	// ShedTarget enables CoDel-style adaptive load shedding: when the
 	// queue sojourn of dequeued requests stays above this target for a
 	// full ShedInterval, shards start rejecting (RejectShed) at an
@@ -132,6 +133,12 @@ type Config struct {
 	// Clock overrides the time source (admission stamps, deadline and
 	// shedding decisions). Test hook; nil means time.Now.
 	Clock func() time.Time
+}
+
+// Decider takes the per-request decision feed; *adapt.Supervisor is the
+// production implementation.
+type Decider interface {
+	Decide(adapt.Decision)
 }
 
 // withDefaults fills zero fields.
@@ -617,11 +624,14 @@ func (sh *shard) score() {
 	srv.cfg.Quality.ObserveBatch(sh.qobs)
 	for i, t := range sh.batch {
 		out := sh.outs[i]
-		if srv.cfg.DecisionObserver != nil {
-			// The name string is built only for the observer; the quality
-			// feed keys sources by the node id itself.
-			srv.cfg.DecisionObserver(t.req.Node.String(), float64(t.req.SentMillis)/1000,
-				t.req.Cues, int(t.req.ClassID), out)
+		if srv.cfg.Adapt != nil {
+			srv.cfg.Adapt.Decide(adapt.Decision{
+				At:       float64(t.req.SentMillis) / 1000,
+				Cues:     sh.obs[i].Cues,
+				Class:    sh.obs[i].Class,
+				HasQ:     out.Status != StatusEpsilon,
+				Accepted: out.Status == StatusAccepted,
+			})
 		}
 		sh.batch[i] = nil
 		t.out = out

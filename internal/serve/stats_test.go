@@ -7,10 +7,16 @@ import (
 	"testing"
 	"time"
 
+	"cqm/internal/adapt"
 	"cqm/internal/ckpt"
 	"cqm/internal/core"
 	"cqm/internal/obs"
 )
+
+// decideFunc is a Decider fake: it hands each decision to the func.
+type decideFunc func(adapt.Decision)
+
+func (f decideFunc) Decide(d adapt.Decision) { f(d) }
 
 // TestStatsMatchMetrics drives every Stats field on one server — the three
 // statuses, each reject reason, a panic recovery and batches — then drains
@@ -38,11 +44,11 @@ func TestStatsMatchMetrics(t *testing.T) {
 		Clock:        clock,
 		ShedTarget:   time.Millisecond,
 		ShedInterval: time.Millisecond,
-		DecisionObserver: func(string, float64, []float64, int, Outcome) {
+		Adapt: decideFunc(func(adapt.Decision) {
 			if hostile.Load() {
 				panic("hostile decision observer")
 			}
-		},
+		}),
 		BatchObserver: func(*core.Measure, []Outcome) {
 			if parking.CompareAndSwap(true, false) {
 				entered <- struct{}{}

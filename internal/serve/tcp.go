@@ -154,10 +154,9 @@ func (s *Server) serveConn(conn net.Conn) {
 // Reusing t.cues for every frame t carries is safe because no consumer
 // keeps the cue slice past the answer: core.Measure.ScoreBatchInto reads
 // the cues in place while the task, which owns them until it is answered,
-// sits in the batch; the quality engine never sees them, and the
-// adaptation supervisor's Decide copies them into its window
-// (adapt.Supervisor.Decide). Config.DecisionObserver documents the same
-// contract for any other observer.
+// sits in the batch; the quality engine never sees them, and Config.Adapt's
+// Decide gets them before the answer and must copy what it keeps, as
+// adapt.Supervisor.Decide does into its window.
 //
 //cqm:hotpath
 func readFrame(r *bufio.Reader, t *task) error {
