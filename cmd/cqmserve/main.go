@@ -17,15 +17,19 @@
 // pseudo-labelled window, gates the candidate on held-out validation,
 // hot-promotes it through the model watcher, watches a post-promotion
 // canary window, and rolls back to the last-good model on regression.
-// DIR holds the served model copy, the last-good artifact, and the
-// crash-safe adaptation journal; /adapt serves the supervisor status.
+// DIR holds the served model copy, its threshold, the last-good artifact,
+// and the crash-safe adaptation journal; /adapt serves the supervisor
+// status. -model, -train-seed and -threshold only seed an empty DIR: a
+// restart serves the model and threshold already there, without training.
 package main
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"net"
 	"os"
 	"os/signal"
@@ -69,17 +73,17 @@ func main() {
 	flag.IntVar(&opts.shards, "shards", 0, "worker shards (0 = GOMAXPROCS)")
 	flag.IntVar(&opts.queue, "queue", 1024, "per-shard admission queue depth")
 	flag.IntVar(&opts.batch, "batch", 256, "max frames folded into one ScoreBatch call")
-	flag.StringVar(&opts.model, "model", "", "serve this ckpt measure artifact (default: train in process)")
+	flag.StringVar(&opts.model, "model", "", "serve this ckpt measure artifact (default: train in process; with -adapt, only seeds an empty DIR)")
 	flag.DurationVar(&opts.watch, "model-watch", 0, "poll the served model artifact for hot reloads at this interval (0 = off; with -adapt, the copy in DIR is what is watched)")
-	flag.Float64Var(&opts.threshold, "threshold", -1, "acceptance threshold s (negative = trained threshold, or 0.5 with -model)")
-	flag.Int64Var(&opts.trainSeed, "train-seed", 1, "seed of the in-process training pass when no -model is given")
+	flag.Float64Var(&opts.threshold, "threshold", -1, "acceptance threshold s (negative = trained threshold, or 0.5 with -model; with -adapt, only seeds an empty DIR)")
+	flag.Int64Var(&opts.trainSeed, "train-seed", 1, "seed of the in-process training pass when no -model is given (with -adapt, only seeds an empty DIR)")
 	flag.IntVar(&opts.workers, "workers", 0, "training worker count (0 = one per CPU); the model is identical at every setting")
 	flag.StringVar(&opts.metricsOut, "metrics-out", "", "flush a final JSON metrics snapshot to this file on shutdown")
 	flag.BoolVar(&opts.pprof, "pprof", false, "serve net/http/pprof handlers at /debug/pprof/")
 	flag.DurationVar(&opts.shedTarget, "shed-target", 25*time.Millisecond, "CoDel load-shedding target queue sojourn (0 = shedding off)")
 	flag.DurationVar(&opts.shedInterval, "shed-interval", 100*time.Millisecond, "CoDel load-shedding observation interval")
 	flag.DurationVar(&opts.idleTimeout, "idle-timeout", 2*time.Minute, "disconnect binary peers idle or dribbling for this long (negative = off)")
-	flag.StringVar(&opts.adaptDir, "adapt", "", "enable the self-healing model lifecycle with this state directory (model copy, last-good, adaptation journal)")
+	flag.StringVar(&opts.adaptDir, "adapt", "", "enable the self-healing model lifecycle with this state directory (model copy, threshold, last-good, adaptation journal)")
 	flag.Parse()
 
 	if err := run(opts); err != nil {
@@ -98,24 +102,18 @@ func run(opts options) error {
 	var watcher *ckpt.ModelWatcher
 	threshold := opts.threshold
 	modelPath := opts.model
-	if opts.model != "" {
-		if opts.adaptDir != "" {
-			// The lifecycle promotes and rolls back by rewriting the watched
-			// artifact, and it must never mutate the operator's -model file:
-			// copy it into the state directory and serve the copy, so every
-			// write the loop makes stays inside DIR.
-			if err := os.MkdirAll(opts.adaptDir, 0o755); err != nil {
-				return err
-			}
-			data, err := os.ReadFile(opts.model)
-			if err != nil {
-				return fmt.Errorf("-adapt needs a readable -model artifact to copy: %w", err)
-			}
-			modelPath = filepath.Join(opts.adaptDir, "model.json")
-			if err := ckpt.AtomicWriteFile(modelPath, data, 0o644); err != nil {
-				return err
-			}
+	if opts.adaptDir != "" {
+		// The lifecycle promotes and rolls back by rewriting the watched
+		// artifact, so it serves the copy in DIR: every write the loop
+		// makes stays inside DIR, and a restart serves what the journal's
+		// history left there.
+		modelPath = filepath.Join(opts.adaptDir, "model.json")
+		var err error
+		if threshold, err = seedAdaptDir(opts, modelPath); err != nil {
+			return err
 		}
+	}
+	if modelPath != "" {
 		var err error
 		watcher, err = ckpt.NewModelWatcher(ckpt.WatchConfig{
 			Path: modelPath,
@@ -139,38 +137,13 @@ func run(opts options) error {
 			threshold = 0.5
 		}
 	} else {
-		fmt.Printf("training in-process model (seed %d)\n", opts.trainSeed)
-		m, trained, err := serve.TrainQuickModel(opts.trainSeed, opts.workers)
+		m, trained, err := trainModel(opts)
 		if err != nil {
-			return fmt.Errorf("training model: %w", err)
+			return err
 		}
 		handle.Store(m)
 		if threshold < 0 {
 			threshold = trained
-		}
-		fmt.Printf("trained: %d rules, threshold %.3f\n", m.Rules(), trained)
-		if opts.adaptDir != "" {
-			// The lifecycle promotes by rewriting the served artifact, so
-			// the in-process model needs a home on disk.
-			if err := os.MkdirAll(opts.adaptDir, 0o755); err != nil {
-				return err
-			}
-			modelPath = filepath.Join(opts.adaptDir, "model.json")
-			if err := ckpt.WriteArtifact(modelPath, ckpt.Manifest{Kind: ckpt.KindMeasure}, m); err != nil {
-				return err
-			}
-			var werr error
-			watcher, werr = ckpt.NewModelWatcher(ckpt.WatchConfig{
-				Path:          modelPath,
-				DeferLastGood: true,
-				Metrics:       reg,
-			}, handle)
-			if werr != nil {
-				return werr
-			}
-			if _, werr := watcher.Poll(); werr != nil {
-				return fmt.Errorf("loading adaptation model copy: %w", werr)
-			}
 		}
 	}
 
@@ -327,6 +300,86 @@ func run(opts options) error {
 		fmt.Printf("final metrics snapshot written to %s\n", opts.metricsOut)
 	}
 	return nil
+}
+
+// trainModel runs the in-process training pass of a run without -model.
+func trainModel(opts options) (*core.Measure, float64, error) {
+	fmt.Printf("training in-process model (seed %d)\n", opts.trainSeed)
+	m, trained, err := serve.TrainQuickModel(opts.trainSeed, opts.workers)
+	if err != nil {
+		return nil, 0, fmt.Errorf("training model: %w", err)
+	}
+	fmt.Printf("trained: %d rules, threshold %.3f\n", m.Rules(), trained)
+	return m, trained, nil
+}
+
+// Beside the served model copy, an -adapt state directory holds the
+// acceptance threshold that copy is served with, as a ckpt artifact.
+const (
+	thresholdName = "threshold.json"
+	thresholdKind = "threshold"
+)
+
+// seedAdaptDir returns the threshold the -adapt state directory serves
+// modelPath with. A directory that holds a persisted threshold has been
+// seeded: a restart serves the model and threshold the journal's history
+// left there, ignores -model, -train-seed and -threshold, and trains
+// nothing. Any other directory is seeded from a copy of -model (the
+// lifecycle never rewrites the operator's file) or from the in-process
+// training pass. The threshold lands after the model, so a crash while
+// seeding leaves a directory that is seeded again.
+func seedAdaptDir(opts options, modelPath string) (float64, error) {
+	thresholdPath := filepath.Join(opts.adaptDir, thresholdName)
+	threshold := opts.threshold
+	_, err := ckpt.ReadArtifact(thresholdPath, thresholdKind, &threshold)
+	if err == nil {
+		fmt.Printf("adaptation: serving the persisted %s at threshold %.3f (-model, -train-seed and -threshold only seed an empty directory)\n",
+			modelPath, threshold)
+		return threshold, nil
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return 0, err
+	}
+	if err := os.MkdirAll(opts.adaptDir, 0o755); err != nil {
+		return 0, err
+	}
+	if opts.model != "" {
+		// A seeded directory is never seeded again, so a -model the
+		// watcher would refuse must not seed it.
+		data, err := os.ReadFile(opts.model)
+		var m core.Measure
+		if err == nil {
+			_, err = ckpt.DecodeArtifact(data, ckpt.KindMeasure, &m)
+		}
+		if err == nil {
+			err = ckpt.SmokeProbe(&m)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("-adapt seeds its directory from a copy of -model, which must be a valid measure artifact: %w", err)
+		}
+		if err := ckpt.AtomicWriteFile(modelPath, data, 0o644); err != nil {
+			return 0, err
+		}
+		if threshold < 0 {
+			threshold = 0.5
+		}
+	} else {
+		m, trained, err := trainModel(opts)
+		if err != nil {
+			return 0, err
+		}
+		if err := ckpt.WriteArtifact(modelPath, ckpt.Manifest{Kind: ckpt.KindMeasure}, m); err != nil {
+			return 0, err
+		}
+		if threshold < 0 {
+			threshold = trained
+		}
+	}
+	if err := ckpt.WriteArtifact(thresholdPath, ckpt.Manifest{Kind: thresholdKind}, threshold); err != nil {
+		return 0, err
+	}
+	fmt.Printf("adaptation: seeded %s at threshold %.3f\n", modelPath, threshold)
+	return threshold, nil
 }
 
 // writeMetricsSnapshot flushes the registry as JSON via the crash-safe

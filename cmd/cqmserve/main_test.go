@@ -2,12 +2,23 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"cqm/internal/ckpt"
+	"cqm/internal/sensor"
+	"cqm/internal/serve"
 )
 
 // runMainEnv, when set, makes the test binary run cqmserve's main on its
@@ -66,5 +77,225 @@ func TestSIGTERMAtStartupDrains(t *testing.T) {
 	}
 	if err != nil || !drained {
 		t.Fatalf("exit %v, drained line %v; stdout:\n%s\nstderr:\n%s", err, drained, strings.Join(out, "\n"), stderr.String())
+	}
+}
+
+// daemon is a running cqmserve re-executed from the test binary.
+type daemon struct {
+	cmd    *exec.Cmd
+	stderr *strings.Builder
+	// addr is the bound HTTP address.
+	addr string
+	// startup holds the stdout lines up to and including the http: line.
+	startup []string
+	// rest carries the remaining stdout lines; it closes at EOF.
+	rest chan string
+}
+
+// startDaemon runs cqmserve with args and waits for its http: line. The
+// daemon is killed and reaped when the test ends, whatever way it ends.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{
+		cmd:    exec.Command(os.Args[0], args...),
+		stderr: &strings.Builder{},
+		rest:   make(chan string, 64),
+	}
+	d.cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	d.cmd.Stderr = d.stderr
+	stdout, err := d.cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	hung := time.AfterFunc(2*time.Minute, func() { _ = d.cmd.Process.Kill() })
+	t.Cleanup(func() {
+		hung.Stop()
+		_ = d.cmd.Process.Kill()
+		_ = d.cmd.Wait()
+	})
+	sc := bufio.NewScanner(stdout)
+	for d.addr == "" && sc.Scan() {
+		line := sc.Text()
+		d.startup = append(d.startup, line)
+		if rest, ok := strings.CutPrefix(line, "http: http://"); ok {
+			d.addr, _, _ = strings.Cut(rest, "/")
+		}
+	}
+	if d.addr == "" {
+		_ = d.cmd.Wait() // stdout closed, so the daemon exited; Wait settles stderr
+		t.Fatalf("no http: line; stdout:\n%s\nstderr:\n%s", strings.Join(d.startup, "\n"), d.stderr.String())
+	}
+	go func() {
+		defer close(d.rest)
+		for sc.Scan() {
+			d.rest <- sc.Text()
+		}
+	}()
+	return d
+}
+
+// stop sends SIGTERM and fails the test unless the daemon drains and
+// exits 0.
+func (d *daemon) stop(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	drained := false
+	for line := range d.rest {
+		drained = drained || strings.HasPrefix(line, "drained:")
+	}
+	if err := d.cmd.Wait(); err != nil || !drained {
+		t.Fatalf("exit %v, drained line %v; stderr:\n%s", err, drained, d.stderr.String())
+	}
+}
+
+// score POSTs one request to /score.
+func (d *daemon) score(t *testing.T, req serve.JSONRequest) serve.JSONResponse {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+d.addr+"/score", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out serve.JSONResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decoding /score answer (HTTP %d): %v", resp.StatusCode, err)
+	}
+	return out
+}
+
+// assertNoTraining fails the test if the daemon trained a model at start.
+func (d *daemon) assertNoTraining(t *testing.T) {
+	t.Helper()
+	for _, line := range d.startup {
+		if strings.HasPrefix(line, "training in-process model") {
+			t.Errorf("restart trained a model; stdout:\n%s", strings.Join(d.startup, "\n"))
+		}
+	}
+}
+
+// TestAdaptRestartServesPersistedModel starts -adapt on a directory an
+// earlier run left behind: it holds a model that differs from the seed
+// model (a promoted candidate, say) and a threshold that differs from the
+// trained one. The daemon must answer /score with that model's
+// Measure.Score at that threshold, and train nothing.
+func TestAdaptRestartServesPersistedModel(t *testing.T) {
+	seedModel, _, err := serve.TrainQuickModel(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, _, err := serve.TrainQuickModel(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := serve.NewWorkload(serve.WorkloadConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]serve.Item, 16)
+	var qs []float64
+	differs := false
+	for i := range items {
+		items[i] = wl.Item(0, i)
+		class := sensor.ContextByID(int(items[i].ClassID))
+		q, err := model.Score(items[i].Cues, class)
+		if err != nil {
+			continue
+		}
+		qs = append(qs, q)
+		seedQ, seedErr := seedModel.Score(items[i].Cues, class)
+		differs = differs || seedErr != nil || seedQ != q
+	}
+	if len(qs) < 2 || !differs {
+		t.Fatalf("the persisted model does not tell itself apart from the seed model on these items")
+	}
+	// The median q splits the items into accepted and discarded ones.
+	slices.Sort(qs)
+	threshold := qs[len(qs)/2]
+
+	dir := t.TempDir()
+	if err := ckpt.WriteArtifact(filepath.Join(dir, "model.json"), ckpt.Manifest{Kind: ckpt.KindMeasure}, model); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.WriteArtifact(filepath.Join(dir, thresholdName), ckpt.Manifest{Kind: thresholdKind}, threshold); err != nil {
+		t.Fatal(err)
+	}
+
+	d := startDaemon(t, "-addr", "127.0.0.1:0", "-adapt", dir, "-threshold", "0.5")
+	d.assertNoTraining(t)
+	for i, it := range items {
+		got := d.score(t, serve.JSONRequest{Source: "restart", Seq: uint16(i), Class: int(it.ClassID), Cues: it.Cues})
+		q, err := model.Score(it.Cues, sensor.ContextByID(int(it.ClassID)))
+		want := "epsilon"
+		if err == nil {
+			want = "discarded"
+			if q > threshold {
+				want = "accepted"
+			}
+		}
+		gotQ := "none"
+		if got.Q != nil {
+			gotQ = strconv.FormatFloat(*got.Q, 'g', -1, 64)
+		}
+		if got.Status != want || (err == nil && gotQ != strconv.FormatFloat(q, 'g', -1, 64)) {
+			t.Errorf("item %d: /score answered %s q=%s, want %s q=%v at threshold %v", i, got.Status, gotQ, want, q, threshold)
+		}
+	}
+	d.stop(t)
+}
+
+// TestAdaptSeedsOnceThenRestarts starts -adapt on an empty directory, which
+// trains the seed model and persists it with the -threshold given, then
+// restarts on the same directory with a different -threshold: the restart
+// trains nothing and serves the persisted model at the persisted threshold.
+func TestAdaptSeedsOnceThenRestarts(t *testing.T) {
+	dir := t.TempDir()
+	first := startDaemon(t, "-addr", "127.0.0.1:0", "-adapt", dir, "-threshold", "0.375")
+	first.stop(t)
+	model, err := os.ReadFile(filepath.Join(dir, "model.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	second := startDaemon(t, "-addr", "127.0.0.1:0", "-adapt", dir, "-threshold", "0.9", "-train-seed", "5")
+	second.assertNoTraining(t)
+	if !strings.Contains(second.startup[len(second.startup)-1], "threshold 0.375)") {
+		t.Errorf("restart serves %q, want the persisted threshold 0.375", second.startup[len(second.startup)-1])
+	}
+	second.stop(t)
+	if after, err := os.ReadFile(filepath.Join(dir, "model.json")); err != nil || !bytes.Equal(after, model) {
+		t.Errorf("restart rewrote the persisted model (read error %v)", err)
+	}
+}
+
+// TestAdaptRefusesInvalidSeedModel starts -adapt on an empty directory
+// with a -model file that is not a measure artifact. A seeded directory is
+// never seeded again, so the daemon must exit non-zero and leave the
+// directory unseeded.
+func TestAdaptRefusesInvalidSeedModel(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(t.TempDir(), "bad-model")
+	if err := os.WriteFile(bad, []byte(`{"not": "an artifact"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A daemon that starts serving instead of refusing is killed.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-addr", "127.0.0.1:0", "-adapt", dir, "-model", bad)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "valid measure artifact") {
+		t.Fatalf("exit %v, want a refusal naming the invalid -model; output:\n%s", err, out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, thresholdName)); !os.IsNotExist(err) {
+		t.Errorf("%s after a refused seed: %v, want it absent", thresholdName, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -217,9 +218,10 @@ func TestGateQuarantinesRegressedCandidate(t *testing.T) {
 }
 
 // TestRealRetrain runs the production shadow retrain on a small window:
-// core.Build over the snapshotted decisions, checkpointed per epoch into
-// the cycle directory, ends in a retrain-done record that names its
-// epochs and stop reason and a candidate artifact the gate then rules on.
+// core.Build over the snapshotted decisions ends in a retrain-done record
+// that names its epochs and stop reason, and a candidate artifact the gate
+// then rules on. The cycle directory holds the window and the candidate
+// and nothing else.
 func TestRealRetrain(t *testing.T) {
 	cfg := smallConfig()
 	cfg.WindowSize = 64
@@ -248,11 +250,8 @@ func TestRealRetrain(t *testing.T) {
 		t.Errorf("retrain-done %+v, want 1..%d epochs and a stop reason", recs[1], cfg.MaxEpochs)
 	}
 	cycleDir := filepath.Join(h.dir, "state", CycleDirName(1))
-	if _, err := os.Stat(filepath.Join(cycleDir, CandidateArtifactName)); err != nil {
-		t.Errorf("candidate artifact: %v", err)
-	}
-	if ckpts, _ := filepath.Glob(filepath.Join(cycleDir, "ckpt-*.json")); len(ckpts) == 0 {
-		t.Errorf("no retrain checkpoints in %s", cycleDir)
+	if got, want := dirNames(t, cycleDir), []string{CandidateArtifactName, WindowArtifactName}; !slices.Equal(got, want) {
+		t.Errorf("cycle directory holds %v, want exactly %v", got, want)
 	}
 	if _, err := VerifyJournal(filepath.Join(h.dir, "state")); err != nil {
 		t.Error(err)

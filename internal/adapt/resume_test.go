@@ -12,7 +12,7 @@ import (
 var errTrainBoom = errors.New("boom")
 
 // errorTrain always fails, driving the retrain-failed path.
-func errorTrain(_, _ []core.Observation, _, _ string) (*core.Measure, retrainInfo, error) {
+func errorTrain(_, _ []core.Observation) (*core.Measure, retrainInfo, error) {
 	return nil, retrainInfo{}, errTrainBoom
 }
 

@@ -90,8 +90,7 @@ type Decision struct {
 // are required; everything else has defaults.
 type Config struct {
 	// Dir is the adaptation state directory: the journal plus one
-	// subdirectory per cycle (window snapshot, retrain checkpoints,
-	// candidate).
+	// subdirectory per cycle (window snapshot and candidate).
 	Dir string
 	// ModelPath is the watched serving-model artifact promotions overwrite.
 	ModelPath string
@@ -108,7 +107,7 @@ type Config struct {
 	// waits. Default 64.
 	MinWindow int
 	// Build configures the shadow retrain (clustering, hybrid learning).
-	// Observer, Resume, and Halt are managed by the supervisor.
+	// Observer and Hybrid.Epochs are managed by the supervisor.
 	Build core.BuildConfig
 	// MaxEpochs bounds the shadow retrain. Default 30.
 	MaxEpochs int
@@ -257,7 +256,7 @@ type Supervisor struct {
 
 	// trainFn is the shadow-retrain implementation; tests stub it to avoid
 	// real training in flap-storm and transition tests.
-	trainFn func(train, check []core.Observation, cycleDir, windowHash string) (*core.Measure, retrainInfo, error)
+	trainFn func(train, check []core.Observation) (*core.Measure, retrainInfo, error)
 }
 
 // New opens (or resumes) a supervisor over Dir, recovering the state
@@ -542,14 +541,11 @@ func (s *Supervisor) retrain() error {
 		return err
 	}
 	train, validation := splitWindow(payload.Observations)
-	cycle := s.cur.cycle
-	windowHash := s.cur.windowHash
-	dir := filepath.Join(s.cfg.Dir, CycleDirName(cycle))
 	s.met.retrainsStarted.Inc()
 	s.training = true
 	trainFn := s.trainFn
 	s.mu.Unlock()
-	candidate, info, trainErr := trainFn(train, validation, dir, windowHash)
+	candidate, info, trainErr := trainFn(train, validation)
 	s.mu.Lock()
 	s.training = false
 	if trainErr != nil {
@@ -560,13 +556,13 @@ func (s *Supervisor) retrain() error {
 			Reason: trainErr.Error(),
 		}, true)
 	}
-	if err := ckpt.WriteArtifact(filepath.Join(dir, CandidateArtifactName),
-		ckpt.Manifest{Kind: ckpt.KindMeasure, ConfigHash: windowHash, Epoch: int(cycle)},
+	if err := ckpt.WriteArtifact(filepath.Join(s.cfg.Dir, CycleDirName(s.cur.cycle), CandidateArtifactName),
+		ckpt.Manifest{Kind: ckpt.KindMeasure, ConfigHash: s.cur.windowHash, Epoch: int(s.cur.cycle)},
 		candidate); err != nil {
 		return err
 	}
 	rec := Record{
-		Cycle:      cycle,
+		Cycle:      s.cur.cycle,
 		Kind:       KindRetrainDone,
 		At:         s.cur.at,
 		Candidate:  CandidateArtifactName,
@@ -583,43 +579,19 @@ func (s *Supervisor) retrain() error {
 }
 
 // realTrain is the production shadow retrain: core.Build over the window
-// slices through the existing anfis hybrid-learning path, checkpointed
-// per epoch into the cycle directory and resumed from the newest usable
-// checkpoint after a crash. The epoch budget is enforced twice — by the
-// configured epoch count and by a Halt hook counting total epoch attempts
-// including divergence retries — so a pathological retrain cannot run
-// away.
-func (s *Supervisor) realTrain(train, check []core.Observation, cycleDir, windowHash string) (*core.Measure, retrainInfo, error) {
-	cp, err := ckpt.NewCheckpointer(ckpt.CheckpointConfig{
-		Dir:        cycleDir,
-		ConfigHash: windowHash,
-		Metrics:    s.cfg.Metrics,
-	})
-	if err != nil {
-		return nil, retrainInfo{}, err
-	}
+// slices through the existing anfis hybrid-learning path, bounded by
+// MaxEpochs. It writes no files: a retrain interrupted by a crash re-runs
+// from the cycle's window artifact, and training is bit-identical at every
+// worker count, so the re-run writes the same candidate.
+func (s *Supervisor) realTrain(train, check []core.Observation) (*core.Measure, retrainInfo, error) {
 	build := s.cfg.Build
 	build.Hybrid.Epochs = s.cfg.MaxEpochs
-	attempts := 0
-	budget := s.cfg.MaxEpochs + build.Hybrid.DivergenceRetries
-	build.Hybrid.Halt = func(int) bool {
-		attempts++
-		return attempts > budget
-	}
-	build.Observer = cp
-	if res, lsErr := ckpt.LatestState(cycleDir, windowHash, s.cfg.Metrics); lsErr == nil {
-		build.Hybrid.Resume = res.State
-	}
+	var info retrainInfo
+	build.Observer = core.TrainObserverFuncs{OnStop: func(ev core.StopEvent) {
+		info = retrainInfo{epochs: ev.Epochs, stopReason: string(ev.Reason)}
+	}}
 	m, err := core.Build(train, check, build)
-	if err != nil {
-		return nil, retrainInfo{}, err
-	}
-	info := retrainInfo{}
-	if stop, ok := cp.LastStop(); ok {
-		info.epochs = stop.Epochs
-		info.stopReason = string(stop.Reason)
-	}
-	return m, info, nil
+	return m, info, err
 }
 
 // gateStep rules on the open cycle's candidate: it reloads candidate and

@@ -44,7 +44,7 @@ type harness struct {
 // does not exist yet — a resume must serve whatever model the crashed
 // process had promoted.
 func newHarness(t *testing.T, dir string, cfg Config, incumbent *core.Measure,
-	trainFn func(train, check []core.Observation, cycleDir, windowHash string) (*core.Measure, retrainInfo, error)) *harness {
+	trainFn func(train, check []core.Observation) (*core.Measure, retrainInfo, error)) *harness {
 	t.Helper()
 	h := &harness{dir: dir, modelPath: filepath.Join(dir, "model.json")}
 	if _, err := os.Stat(h.modelPath); err != nil {
@@ -89,8 +89,8 @@ func smallConfig() Config {
 
 // stubTrain returns a fixed prebuilt candidate — deterministic bytes, no
 // real training.
-func stubTrain(candidate *core.Measure) func([]core.Observation, []core.Observation, string, string) (*core.Measure, retrainInfo, error) {
-	return func(_, _ []core.Observation, _, _ string) (*core.Measure, retrainInfo, error) {
+func stubTrain(candidate *core.Measure) func([]core.Observation, []core.Observation) (*core.Measure, retrainInfo, error) {
+	return func(_, _ []core.Observation) (*core.Measure, retrainInfo, error) {
 		return candidate, retrainInfo{epochs: 3, stopReason: "stub"}, nil
 	}
 }
@@ -233,7 +233,7 @@ func TestFlapStormCooldown(t *testing.T) {
 	incumbent := biasMeasure(t, 0.7)
 	boom := errors.New("synthetic retrain crash")
 	h := newHarness(t, t.TempDir(), smallConfig(), incumbent,
-		func(_, _ []core.Observation, _, _ string) (*core.Measure, retrainInfo, error) {
+		func(_, _ []core.Observation) (*core.Measure, retrainInfo, error) {
 			return nil, retrainInfo{}, boom
 		})
 	const storm = 500
@@ -301,7 +301,7 @@ func TestHotPathNonBlockingDuringRetrain(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	h := newHarness(t, t.TempDir(), smallConfig(), incumbent,
-		func(_, _ []core.Observation, _, _ string) (*core.Measure, retrainInfo, error) {
+		func(_, _ []core.Observation) (*core.Measure, retrainInfo, error) {
 			close(started)
 			<-release
 			return candidate, retrainInfo{epochs: 3, stopReason: "stub"}, nil

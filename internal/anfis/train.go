@@ -41,10 +41,6 @@ const (
 	// divergence-retry budget was exhausted (or zero). The system is rolled
 	// back to the best finite snapshot, as with any other stop.
 	StopDiverged StopReason = "training diverged"
-	// StopHalted: the Config.Halt hook asked training to end before the
-	// epoch ran. The system is rolled back to the best snapshot so far, as
-	// with any other stop.
-	StopHalted StopReason = "halted by budget hook"
 )
 
 // EpochEvent reports one completed hybrid-learning epoch to a
@@ -321,14 +317,6 @@ type Config struct {
 	// DivergenceShrink is the step-size reduction factor applied on each
 	// divergence rollback. Default 0.5.
 	DivergenceShrink float64
-	// Halt, when non-nil, is consulted with the upcoming epoch index before
-	// each epoch runs; returning true stops training with StopHalted and
-	// rolls back to the best snapshot so far. It is how external budgets
-	// (virtual-time deadlines, adaptation retrain caps) bound a run without
-	// anfis ever reading a clock itself — the hook must be a deterministic
-	// function of the epoch index and the caller's own state for the
-	// bit-identical-replay contract to hold.
-	Halt func(epoch int) bool
 	// Workers parallelizes the backward gradient pass and the per-epoch
 	// RMSE evaluations: 0 picks one worker per CPU (falling back to
 	// serial below a size cutoff), 1 forces serial execution. Training
@@ -457,10 +445,6 @@ func Train(sys *fuzzy.TSK, train, check *Data, cfg Config) (*History, error) {
 	}
 	snap, _ := cfg.Observer.(SnapshotObserver)
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		if cfg.Halt != nil && cfg.Halt(epoch) {
-			hist.Reason = StopHalted
-			break
-		}
 		stepCfg := cfg
 		stepCfg.LearningRate = rate
 		backwardPass(sys, train, stepCfg, pool)
