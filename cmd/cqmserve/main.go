@@ -92,11 +92,17 @@ func main() {
 	}
 }
 
+// metricStartup is the gauge family of the start-up phases, each set
+// once from the daemon's own clock.
+const metricStartup = "cqm_startup_seconds"
+
 func run(opts options) error {
+	start := time.Now()
 	if opts.shards == 0 {
 		opts.shards = runtime.GOMAXPROCS(0)
 	}
 	reg := obs.NewRegistry()
+	reg.Help(metricStartup, "Seconds of cqmserve start-up: phase=train is the in-process training pass, phase=listen all of start-up until every listener is open.")
 	handle := ckpt.NewHandle(nil)
 
 	var watcher *ckpt.ModelWatcher
@@ -109,7 +115,7 @@ func run(opts options) error {
 		// history left there.
 		modelPath = filepath.Join(opts.adaptDir, "model.json")
 		var err error
-		if threshold, err = seedAdaptDir(opts, modelPath); err != nil {
+		if threshold, err = seedAdaptDir(opts, modelPath, reg); err != nil {
 			return err
 		}
 	}
@@ -137,7 +143,7 @@ func run(opts options) error {
 			threshold = 0.5
 		}
 	} else {
-		m, trained, err := trainModel(opts)
+		m, trained, err := trainModel(opts, reg)
 		if err != nil {
 			return err
 		}
@@ -214,17 +220,20 @@ func run(opts options) error {
 	if err != nil {
 		return fmt.Errorf("http listener: %w", err)
 	}
-	httpSrv := serve.NewHTTPServer(mux)
-	go func() { _ = httpSrv.Serve(httpLn) }()
-	fmt.Printf("http: http://%s/score (%d shards, queue %d, batch %d, threshold %.3f)\n",
-		httpLn.Addr(), opts.shards, opts.queue, opts.batch, threshold)
-
 	var binLn net.Listener
-	binDone := make(chan error, 1)
 	if opts.binary != "" {
 		if binLn, err = net.Listen("tcp", opts.binary); err != nil {
 			return fmt.Errorf("binary listener: %w", err)
 		}
+	}
+	reg.Gauge(metricStartup, "phase", "listen").Set(time.Since(start).Seconds())
+
+	httpSrv := serve.NewHTTPServer(mux)
+	go func() { _ = httpSrv.Serve(httpLn) }()
+	fmt.Printf("http: http://%s/score (%d shards, queue %d, batch %d, threshold %.3f)\n",
+		httpLn.Addr(), opts.shards, opts.queue, opts.batch, threshold)
+	binDone := make(chan error, 1)
+	if binLn != nil {
 		go func() { binDone <- srv.ServeBinary(binLn) }()
 		fmt.Printf("binary: %s (%d-byte particle frames + cue section)\n", binLn.Addr(), particle.FrameLen)
 	}
@@ -302,13 +311,16 @@ func run(opts options) error {
 	return nil
 }
 
-// trainModel runs the in-process training pass of a run without -model.
-func trainModel(opts options) (*core.Measure, float64, error) {
+// trainModel runs the in-process training pass of a run without -model
+// and records its duration as the train start-up phase.
+func trainModel(opts options, reg *obs.Registry) (*core.Measure, float64, error) {
 	fmt.Printf("training in-process model (seed %d)\n", opts.trainSeed)
+	start := time.Now()
 	m, trained, err := serve.TrainQuickModel(opts.trainSeed, opts.workers)
 	if err != nil {
 		return nil, 0, fmt.Errorf("training model: %w", err)
 	}
+	reg.Gauge(metricStartup, "phase", "train").Set(time.Since(start).Seconds())
 	fmt.Printf("trained: %d rules, threshold %.3f\n", m.Rules(), trained)
 	return m, trained, nil
 }
@@ -328,7 +340,7 @@ const (
 // lifecycle never rewrites the operator's file) or from the in-process
 // training pass. The threshold lands after the model, so a crash while
 // seeding leaves a directory that is seeded again.
-func seedAdaptDir(opts options, modelPath string) (float64, error) {
+func seedAdaptDir(opts options, modelPath string, reg *obs.Registry) (float64, error) {
 	thresholdPath := filepath.Join(opts.adaptDir, thresholdName)
 	threshold := opts.threshold
 	_, err := ckpt.ReadArtifact(thresholdPath, thresholdKind, &threshold)
@@ -364,7 +376,7 @@ func seedAdaptDir(opts options, modelPath string) (float64, error) {
 			threshold = 0.5
 		}
 	} else {
-		m, trained, err := trainModel(opts)
+		m, trained, err := trainModel(opts, reg)
 		if err != nil {
 			return 0, err
 		}

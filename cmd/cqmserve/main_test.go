@@ -299,3 +299,112 @@ func TestAdaptRefusesInvalidSeedModel(t *testing.T) {
 		t.Errorf("%s after a refused seed: %v, want it absent", thresholdName, err)
 	}
 }
+
+// TestColdStartRunsNoGC runs the daemon with the runtime's GC trace on
+// and fails if a collection ran before it listened: the in-process
+// training pass must fit in the heap the runtime grants before its first
+// cycle, so no training garbage is collected, or left resident, before
+// the first answer. Stdout and stderr share one pipe, so the trace lines
+// arrive in order with the address lines.
+func TestColdStartRunsNoGC(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-binary", "127.0.0.1:0")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1", "GODEBUG=gctrace=1")
+	cmd.Stdout, cmd.Stderr = w, w
+	err = cmd.Start()
+	w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hung := time.AfterFunc(2*time.Minute, func() { _ = cmd.Process.Kill() })
+	t.Cleanup(func() {
+		hung.Stop()
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	})
+
+	var out, gcs []string
+	listening, drained := false, false
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		out = append(out, line)
+		if !listening && strings.HasPrefix(line, "gc ") {
+			gcs = append(gcs, line)
+		}
+		if !listening && strings.HasPrefix(line, "binary:") {
+			listening = true
+			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drained = drained || strings.HasPrefix(line, "drained:")
+	}
+	if err := cmd.Wait(); err != nil || !listening || !drained {
+		t.Fatalf("exit %v, binary line %v, drained line %v; output:\n%s", err, listening, drained, strings.Join(out, "\n"))
+	}
+	if len(gcs) > 0 {
+		t.Errorf("%d GC cycles before the daemon listened:\n%s", len(gcs), strings.Join(gcs, "\n"))
+	}
+}
+
+// startupGauges scrapes /metrics and returns the cqm_startup_seconds
+// series by phase.
+func (d *daemon) startupGauges(t *testing.T) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get("http://" + d.addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	phases := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		rest, ok := strings.CutPrefix(sc.Text(), metricStartup+`{phase="`)
+		if !ok {
+			continue
+		}
+		phase, value, _ := strings.Cut(rest, `"} `)
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("%s phase %s: %v", metricStartup, phase, err)
+		}
+		phases[phase] = v
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return phases
+}
+
+// TestStartupPhaseGauges scrapes the start-up gauges of a daemon that
+// trains in process and of one handed a -model artifact: the first
+// reports a train phase inside its listen phase, the second only a
+// listen phase.
+func TestStartupPhaseGauges(t *testing.T) {
+	trained := startDaemon(t, "-addr", "127.0.0.1:0")
+	got := trained.startupGauges(t)
+	trained.stop(t)
+	if len(got) != 2 || !(got["train"] > 0) || !(got["listen"] >= got["train"]) {
+		t.Errorf("in-process training: start-up gauges %v, want 0 < train <= listen", got)
+	}
+
+	m, _, err := serve.TrainQuickModel(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := ckpt.WriteArtifact(path, ckpt.Manifest{Kind: ckpt.KindMeasure}, m); err != nil {
+		t.Fatal(err)
+	}
+	loaded := startDaemon(t, "-addr", "127.0.0.1:0", "-model", path)
+	got = loaded.startupGauges(t)
+	loaded.stop(t)
+	if _, ok := got["train"]; len(got) != 1 || ok || !(got["listen"] > 0) {
+		t.Errorf("-model: start-up gauges %v, want only listen > 0", got)
+	}
+}

@@ -104,21 +104,65 @@ func BuildFromCenters(data *Data, centers [][]float64, sigmas []float64, cfg Bui
 // Samples that activate no rule are skipped (they carry no gradient and no
 // linear information).
 func FitConsequents(sys *fuzzy.TSK, data *Data, method regress.Method) error {
+	return fitConsequents(sys, data, method, new(fitWork))
+}
+
+// FitConstantConsequents fits zero-order consequents: each rule gets only
+// a constant term, so the design matrix has one column per rule holding
+// the normalized firing strength. Linear coefficients are zeroed.
+func FitConstantConsequents(sys *fuzzy.TSK, data *Data, method regress.Method) error {
+	return fitConstantConsequents(sys, data, method, new(fitWork))
+}
+
+// fitWork is the storage a forward pass leaves to the next one: the
+// design rows and targets, one evaluation trace and the least-squares
+// workspace. Train keeps one for all its epochs.
+type fitWork struct {
+	flat    []float64
+	cols    int
+	rows    [][]float64
+	targets []float64
+	detail  fuzzy.Detail
+	ls      regress.Workspace
+}
+
+// reset empties the design for up to n rows of cols values each.
+func (w *fitWork) reset(n, cols int) {
+	if cap(w.flat) < n*cols {
+		w.flat = make([]float64, n*cols)
+	}
+	if cap(w.rows) < n {
+		w.rows = make([][]float64, 0, n)
+		w.targets = make([]float64, 0, n)
+	}
+	w.cols = cols
+	w.rows, w.targets = w.rows[:0], w.targets[:0]
+}
+
+// add appends a design row with target y and returns the row for the
+// caller to fill; its contents are unspecified.
+func (w *fitWork) add(y float64) []float64 {
+	k := len(w.rows)
+	row := w.flat[k*w.cols : (k+1)*w.cols : (k+1)*w.cols]
+	w.rows = append(w.rows, row)
+	w.targets = append(w.targets, y)
+	return row
+}
+
+func fitConsequents(sys *fuzzy.TSK, data *Data, method regress.Method, work *fitWork) error {
 	if err := data.Validate(sys.Inputs()); err != nil {
 		return err
 	}
 	n := sys.Inputs()
 	m := sys.NumRules()
-	cols := m * (n + 1)
-	rows := make([][]float64, 0, data.Len())
-	targets := make([]float64, 0, data.Len())
+	work.reset(data.Len(), m*(n+1))
+	detail := &work.detail
 	for i, v := range data.X {
-		detail, err := sys.EvalDetail(v)
-		if err != nil {
+		if err := sys.EvalDetailInto(v, detail); err != nil {
 			// No rule fired for this sample: skip it.
 			continue
 		}
-		row := make([]float64, cols)
+		row := work.add(data.Y[i])
 		for j := 0; j < m; j++ {
 			wn := detail.Weights[j] / detail.WeightSum
 			base := j * (n + 1)
@@ -127,13 +171,11 @@ func FitConsequents(sys *fuzzy.TSK, data *Data, method regress.Method) error {
 			}
 			row[base+n] = wn
 		}
-		rows = append(rows, row)
-		targets = append(targets, data.Y[i])
 	}
-	if len(rows) == 0 {
+	if len(work.rows) == 0 {
 		return fmt.Errorf("%w: no sample activates any rule", ErrEmptyData)
 	}
-	w, err := regress.LeastSquares(rows, targets, method)
+	w, err := regress.LeastSquaresInto(work.rows, work.targets, method, &work.ls)
 	if err != nil {
 		return fmt.Errorf("anfis: consequent least squares: %w", err)
 	}
@@ -147,33 +189,27 @@ func FitConsequents(sys *fuzzy.TSK, data *Data, method regress.Method) error {
 	return nil
 }
 
-// FitConstantConsequents fits zero-order consequents: each rule gets only
-// a constant term, so the design matrix has one column per rule holding
-// the normalized firing strength. Linear coefficients are zeroed.
-func FitConstantConsequents(sys *fuzzy.TSK, data *Data, method regress.Method) error {
+func fitConstantConsequents(sys *fuzzy.TSK, data *Data, method regress.Method, work *fitWork) error {
 	if err := data.Validate(sys.Inputs()); err != nil {
 		return err
 	}
 	n := sys.Inputs()
 	m := sys.NumRules()
-	rows := make([][]float64, 0, data.Len())
-	targets := make([]float64, 0, data.Len())
+	work.reset(data.Len(), m)
+	detail := &work.detail
 	for i, v := range data.X {
-		detail, err := sys.EvalDetail(v)
-		if err != nil {
+		if err := sys.EvalDetailInto(v, detail); err != nil {
 			continue
 		}
-		row := make([]float64, m)
+		row := work.add(data.Y[i])
 		for j := 0; j < m; j++ {
 			row[j] = detail.Weights[j] / detail.WeightSum
 		}
-		rows = append(rows, row)
-		targets = append(targets, data.Y[i])
 	}
-	if len(rows) == 0 {
+	if len(work.rows) == 0 {
 		return fmt.Errorf("%w: no sample activates any rule", ErrEmptyData)
 	}
-	w, err := regress.LeastSquares(rows, targets, method)
+	w, err := regress.LeastSquaresInto(work.rows, work.targets, method, &work.ls)
 	if err != nil {
 		return fmt.Errorf("anfis: constant consequent least squares: %w", err)
 	}

@@ -439,16 +439,17 @@ func Train(sys *fuzzy.TSK, train, check *Data, cfg Config) (*History, error) {
 		startEpoch = st.Epoch + 1
 	}
 
-	forward := FitConsequents
+	forward := fitConsequents
 	if cfg.ConstantConsequents {
-		forward = FitConstantConsequents
+		forward = fitConstantConsequents
 	}
+	var work fitWork // the forward pass's storage, reused every epoch
 	snap, _ := cfg.Observer.(SnapshotObserver)
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
 		stepCfg := cfg
 		stepCfg.LearningRate = rate
 		backwardPass(sys, train, stepCfg, pool)
-		if err := forward(sys, train, cfg.LSMethod); err != nil {
+		if err := forward(sys, train, cfg.LSMethod, &work); err != nil {
 			return nil, fmt.Errorf("anfis: forward pass at epoch %d: %w", epoch, err)
 		}
 
@@ -645,10 +646,10 @@ func backwardPass(sys *fuzzy.TSK, train *Data, cfg Config, pool *parallel.Pool) 
 	_ = parallel.ReduceOrdered(context.Background(), pool, train.Len(), gradGrain,
 		func(s parallel.Span) gradPartial {
 			part := newGradPartial(m, n)
+			var detail fuzzy.Detail
 			for idx := s.Lo; idx < s.Hi; idx++ {
 				v := train.X[idx]
-				detail, err := sys.EvalDetail(v)
-				if err != nil {
+				if err := sys.EvalDetailInto(v, &detail); err != nil {
 					continue // sample fires no rule: no gradient
 				}
 				part.count++

@@ -72,7 +72,6 @@ type Checkpointer struct {
 
 	mu        sync.Mutex
 	last      *anfis.TrainState
-	stop      *anfis.StopEvent
 	writeErrs int
 }
 
@@ -102,13 +101,9 @@ func (c *Checkpointer) TrainEpoch(ev anfis.EpochEvent) {
 	}
 }
 
-// TrainStop implements anfis.TrainObserver, recording the stopping
-// decision for manifest enrichment by the caller.
-func (c *Checkpointer) TrainStop(ev anfis.StopEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stop = &ev
-}
+// TrainStop implements anfis.TrainObserver. A stop writes nothing: resume
+// starts from the checkpoints the snapshots wrote.
+func (c *Checkpointer) TrainStop(anfis.StopEvent) {}
 
 // TrainSnapshot implements anfis.SnapshotObserver: it keeps the newest
 // finite state in memory and writes the periodic and best-so-far
@@ -153,22 +148,12 @@ func (c *Checkpointer) write(path string, st *anfis.TrainState) {
 }
 
 // LastState returns a copy of the newest finite state seen, or nil before
-// the first completed epoch. Divergence-recovery paths restart from it
-// without touching the disk.
+// the first completed epoch. It reads out the run for callers and tests;
+// nothing restarts from it (resume reads the checkpoint files).
 func (c *Checkpointer) LastState() *anfis.TrainState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.last.Clone()
-}
-
-// LastStop returns the recorded stopping decision, if training finished.
-func (c *Checkpointer) LastStop() (anfis.StopEvent, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stop == nil {
-		return anfis.StopEvent{}, false
-	}
-	return *c.stop, true
 }
 
 // WriteErrors returns the number of checkpoint writes that failed.

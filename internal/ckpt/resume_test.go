@@ -246,9 +246,6 @@ func TestCheckpointerInterval(t *testing.T) {
 	if st := cp.LastState(); st == nil {
 		t.Error("LastState nil after training")
 	}
-	if _, ok := cp.LastStop(); !ok {
-		t.Error("LastStop unset after training")
-	}
 }
 
 func TestCheckpointerWriteErrorsDoNotAbort(t *testing.T) {

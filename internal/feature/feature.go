@@ -32,14 +32,22 @@ type Extractor interface {
 	Extract(window []sensor.Reading) ([]float64, error)
 }
 
-// axes splits a window into per-axis series.
-func axes(window []sensor.Reading) (xs, ys, zs []float64, err error) {
-	if len(window) == 0 {
+// axisStack is the window length up to which an extractor splits its
+// window into per-axis series on its own stack; a longer window takes one
+// heap buffer.
+const axisStack = 128
+
+// axes splits a window into per-axis series stored in buf, or in one new
+// buffer when buf holds fewer than 3·len(window) values.
+func axes(window []sensor.Reading, buf []float64) (xs, ys, zs []float64, err error) {
+	n := len(window)
+	if n == 0 {
 		return nil, nil, nil, ErrEmptyWindow
 	}
-	xs = make([]float64, len(window))
-	ys = make([]float64, len(window))
-	zs = make([]float64, len(window))
+	if len(buf) < 3*n {
+		buf = make([]float64, 3*n)
+	}
+	xs, ys, zs = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n]
 	for i, r := range window {
 		xs[i] = r.Accel.X
 		ys[i] = r.Accel.Y
@@ -56,7 +64,8 @@ func (StdDev) Name() string { return "stddev" }
 
 // Extract returns the per-axis standard deviations.
 func (StdDev) Extract(window []sensor.Reading) ([]float64, error) {
-	xs, ys, zs, err := axes(window)
+	var buf [3 * axisStack]float64
+	xs, ys, zs, err := axes(window, buf[:])
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +80,8 @@ func (Mean) Name() string { return "mean" }
 
 // Extract returns the per-axis means.
 func (Mean) Extract(window []sensor.Reading) ([]float64, error) {
-	xs, ys, zs, err := axes(window)
+	var buf [3 * axisStack]float64
+	xs, ys, zs, err := axes(window, buf[:])
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +96,8 @@ func (RMS) Name() string { return "rms" }
 
 // Extract returns the per-axis RMS values.
 func (RMS) Extract(window []sensor.Reading) ([]float64, error) {
-	xs, ys, zs, err := axes(window)
+	var buf [3 * axisStack]float64
+	xs, ys, zs, err := axes(window, buf[:])
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +112,8 @@ func (Range) Name() string { return "range" }
 
 // Extract returns the per-axis max−min spans.
 func (Range) Extract(window []sensor.Reading) ([]float64, error) {
-	xs, ys, zs, err := axes(window)
+	var buf [3 * axisStack]float64
+	xs, ys, zs, err := axes(window, buf[:])
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +133,8 @@ func (ZeroCross) Name() string { return "zerocross" }
 
 // Extract returns the per-axis crossing counts normalized by window length.
 func (ZeroCross) Extract(window []sensor.Reading) ([]float64, error) {
-	xs, ys, zs, err := axes(window)
+	var buf [3 * axisStack]float64
+	xs, ys, zs, err := axes(window, buf[:])
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,8 @@ func (DominantFreq) Name() string { return "domfreq" }
 // Extract returns the per-axis frequency with the largest DFT magnitude
 // within (0, MaxHz]. The DC bin is excluded: gravity dominates it.
 func (d DominantFreq) Extract(window []sensor.Reading) ([]float64, error) {
-	xs, ys, zs, err := axes(window)
+	var buf [3 * axisStack]float64
+	xs, ys, zs, err := axes(window, buf[:])
 	if err != nil {
 		return nil, err
 	}

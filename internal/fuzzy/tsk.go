@@ -178,16 +178,30 @@ type Detail struct {
 
 // EvalDetail computes the output together with the evaluation trace.
 func (t *TSK) EvalDetail(v []float64) (Detail, error) {
+	var d Detail
+	if err := t.EvalDetailInto(v, &d); err != nil {
+		return Detail{}, err
+	}
+	return d, nil
+}
+
+// EvalDetailInto is EvalDetail writing the trace into d, over the storage
+// of d.Weights and d.Consequents when it is large enough: a trainer that
+// passes the same d for every sample allocates once. On error d's contents
+// are unspecified.
+func (t *TSK) EvalDetailInto(v []float64, d *Detail) error {
 	if len(t.rules) == 0 {
-		return Detail{}, ErrNoRules
+		return ErrNoRules
 	}
 	if len(v) != t.inputs {
-		return Detail{}, fmt.Errorf("%w: got %d inputs, want %d", ErrArity, len(v), t.inputs)
+		return fmt.Errorf("%w: got %d inputs, want %d", ErrArity, len(v), t.inputs)
 	}
-	d := Detail{
-		Weights:     make([]float64, len(t.rules)),
-		Consequents: make([]float64, len(t.rules)),
+	m := len(t.rules)
+	if cap(d.Weights) < m || cap(d.Consequents) < m {
+		d.Weights, d.Consequents = make([]float64, m), make([]float64, m)
 	}
+	d.Weights, d.Consequents = d.Weights[:m], d.Consequents[:m]
+	d.WeightSum, d.Output = 0, 0
 	for j := range t.rules {
 		w := t.rules[j].Weight(v)
 		f := t.rules[j].Consequent(v)
@@ -197,10 +211,10 @@ func (t *TSK) EvalDetail(v []float64) (Detail, error) {
 		d.Output += w * f
 	}
 	if d.WeightSum <= 0 {
-		return Detail{}, fmt.Errorf("%w: %v", ErrNoActivation, v)
+		return fmt.Errorf("%w: %v", ErrNoActivation, v)
 	}
 	d.Output /= d.WeightSum
-	return d, nil
+	return nil
 }
 
 // String renders the rule base in the linguistic form of the paper:

@@ -37,18 +37,38 @@ func New(r, c int) *Matrix {
 // NewFromRows builds a matrix from a slice of equal-length rows. The input
 // is copied. It returns ErrShape if rows have differing lengths.
 func NewFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return New(0, 0), nil
+	m := new(Matrix)
+	if err := m.SetRows(rows); err != nil {
+		return nil, err
 	}
-	c := len(rows[0])
-	m := New(len(rows), c)
+	return m, nil
+}
+
+// SetRows makes m a copy of the equal-length rows, reusing m's storage
+// when it is large enough. It returns ErrShape if rows have differing
+// lengths, leaving m's contents unspecified.
+func (m *Matrix) SetRows(rows [][]float64) error {
+	c := 0
+	if len(rows) > 0 {
+		c = len(rows[0])
+	}
+	m.reshape(len(rows), c)
 	for i, row := range rows {
 		if len(row) != c {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(row), c)
+			return fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(row), c)
 		}
 		copy(m.data[i*c:(i+1)*c], row)
 	}
-	return m, nil
+	return nil
+}
+
+// reshape makes m an r×c matrix over its own storage when that is large
+// enough, over new storage otherwise, and returns m. The contents are
+// unspecified.
+func (m *Matrix) reshape(r, c int) *Matrix {
+	m.rows, m.cols = r, c
+	m.data = grow(m.data, r*c)
+	return m
 }
 
 // Identity returns the n×n identity matrix.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"cqm/internal/mat"
 )
@@ -50,19 +51,36 @@ func (m Method) String() string {
 // parallel with the rows. The SVD method returns the minimum-norm solution
 // for rank-deficient systems instead of failing.
 func LeastSquares(x [][]float64, y []float64, method Method) ([]float64, error) {
+	return LeastSquaresInto(x, y, method, new(Workspace))
+}
+
+// Workspace is reusable storage for LeastSquaresInto: the design matrix,
+// the SVD's working copies and factors, and the solution. The zero value
+// is ready to use; a Workspace grows to the largest problem it has solved.
+// It must not be shared between goroutines.
+type Workspace struct {
+	x   mat.Matrix
+	svd mat.SVDWork
+	w   []float64
+}
+
+// LeastSquaresInto is LeastSquares over the storage of ws. With the SVD
+// method the returned weights live in ws and stay valid until ws solves
+// again, and repeated same-shaped solves allocate nothing; the QR method
+// returns fresh weights.
+func LeastSquaresInto(x [][]float64, y []float64, method Method, ws *Workspace) ([]float64, error) {
 	if len(x) == 0 {
 		return nil, ErrEmpty
 	}
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("%w: %d rows vs %d targets", ErrDimension, len(x), len(y))
 	}
-	xm, err := mat.NewFromRows(x)
-	if err != nil {
+	if err := ws.x.SetRows(x); err != nil {
 		return nil, fmt.Errorf("regress: building design matrix: %w", err)
 	}
 	switch method {
 	case MethodQR:
-		f, err := mat.FactorQR(xm)
+		f, err := mat.FactorQR(&ws.x)
 		if err != nil {
 			return nil, fmt.Errorf("regress: QR factorization: %w", err)
 		}
@@ -72,15 +90,15 @@ func LeastSquares(x [][]float64, y []float64, method Method) ([]float64, error) 
 		}
 		return w, nil
 	case MethodSVD, 0: // zero value falls through to the paper's default
-		d, err := mat.FactorSVD(xm)
+		d, err := mat.FactorSVDInto(&ws.x, &ws.svd)
 		if err != nil {
 			return nil, fmt.Errorf("regress: SVD factorization: %w", err)
 		}
-		w, err := d.Solve(y, 0)
-		if err != nil {
+		ws.w = slices.Grow(ws.w[:0], ws.x.Cols())[:ws.x.Cols()]
+		if err := d.SolveInto(ws.w, y, 0); err != nil {
 			return nil, fmt.Errorf("regress: SVD solve: %w", err)
 		}
-		return w, nil
+		return ws.w, nil
 	default:
 		return nil, fmt.Errorf("regress: unknown method %v", method)
 	}

@@ -93,15 +93,24 @@ func (a Accelerometer) Record(model MotionModel, truth Context, duration float64
 	if duration <= 0 {
 		return nil, fmt.Errorf("%w: duration %v", ErrBadConfig, duration)
 	}
-	n := int(duration * a.SampleRate)
-	if n < 1 {
-		n = 1
-	}
+	out := make([]Reading, a.samples(duration))
+	a.record(out, model, truth, rng)
+	return out, nil
+}
+
+// samples returns the number of readings a recording of duration seconds
+// takes: at least one.
+func (a Accelerometer) samples(duration float64) int {
+	return max(int(duration*a.SampleRate), 1)
+}
+
+// record fills out with consecutive samples of the motion model from time
+// 0. a must have its defaults applied and be valid.
+func (a Accelerometer) record(out []Reading, model MotionModel, truth Context, rng *rand.Rand) {
 	dt := 1 / a.SampleRate
 	driftStep := a.DriftRate * math.Sqrt(dt)
 	var driftX, driftY, driftZ float64
-	out := make([]Reading, n)
-	for i := 0; i < n; i++ {
+	for i := range out {
 		t := float64(i) * dt
 		true3 := model.Accelerate(t, rng)
 		driftX += driftStep * rng.NormFloat64()
@@ -117,7 +126,6 @@ func (a Accelerometer) Record(model MotionModel, truth Context, duration float64
 			},
 		}
 	}
-	return out, nil
 }
 
 // digitize applies saturation and ADC quantization.

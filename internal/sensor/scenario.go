@@ -66,7 +66,12 @@ func (s *Scenario) Run(rng *rand.Rand) ([]Reading, error) {
 		return nil, err
 	}
 
-	var out []Reading
+	total := 0
+	for _, seg := range s.Segments {
+		total += acc.samples(seg.Duration)
+	}
+	out := make([]Reading, total)
+	rest := out
 	offset := 0.0
 	for i, seg := range s.Segments {
 		model := NewModel(seg.Context, s.Style)
@@ -86,13 +91,12 @@ func (s *Scenario) Run(rng *rand.Rand) ([]Reading, error) {
 				nextC:  s.Segments[i+1].Context,
 			}
 		}
-		readings, err := acc.Record(&blendModel{
+		readings := rest[:acc.samples(seg.Duration)]
+		rest = rest[len(readings):]
+		acc.record(readings, &blendModel{
 			base:  model,
 			blend: blend,
-		}, seg.Context, seg.Duration, rng)
-		if err != nil {
-			return nil, fmt.Errorf("sensor: segment %d: %w", i, err)
-		}
+		}, seg.Context, rng)
 		// Re-stamp times and flip ground truth past the blend midpoint.
 		for k := range readings {
 			if blend.active && readings[k].T > blend.start+blend.len/2 {
@@ -100,7 +104,6 @@ func (s *Scenario) Run(rng *rand.Rand) ([]Reading, error) {
 			}
 			readings[k].T += offset
 		}
-		out = append(out, readings...)
 		offset += seg.Duration
 	}
 	return out, nil

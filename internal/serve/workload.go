@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
 
 	"cqm/internal/classify"
 	"cqm/internal/core"
@@ -185,23 +186,22 @@ func PenNode(i int) particle.NodeID {
 // model source for cqmserve and cqmload runs that are not handed an
 // artifact; with the same seed and any worker count the resulting model
 // is bit-identical.
+//
+// The clean and the mixed set draw from RNGs of their own seeds, so the
+// classifier trains on its own goroutine while this one generates the
+// mixed set; the quality FIS waits for both. That shape is fixed, whatever
+// workers says.
 func TrainQuickModel(seed int64, workers int) (*core.Measure, float64, error) {
-	clean, err := dataset.Generate(dataset.GenerateConfig{
-		Scenarios: []*sensor.Scenario{{Segments: []sensor.Segment{
-			{Context: sensor.ContextLying, Duration: 12},
-			{Context: sensor.ContextWriting, Duration: 12},
-			{Context: sensor.ContextPlaying, Duration: 12},
-		}}},
-		WindowSize: 100,
-		Seed:       seed,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	clf, err := (&classify.TSKTrainer{}).Train(clean)
-	if err != nil {
-		return nil, 0, err
-	}
+	var (
+		clf    classify.Classifier
+		clfErr error
+		wg     sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		clf, clfErr = trainQuickClassifier(seed)
+	}()
 	mixed, err := dataset.Generate(dataset.GenerateConfig{
 		Scenarios: []*sensor.Scenario{
 			sensor.OfficeSession(sensor.DefaultStyle()),
@@ -212,6 +212,10 @@ func TrainQuickModel(seed int64, workers int) (*core.Measure, float64, error) {
 		WindowStep: 50,
 		Seed:       seed + 1,
 	})
+	wg.Wait()
+	if clfErr != nil {
+		return nil, 0, clfErr
+	}
 	if err != nil {
 		return nil, 0, err
 	}
@@ -231,4 +235,22 @@ func TrainQuickModel(seed int64, workers int) (*core.Measure, float64, error) {
 		return nil, 0, err
 	}
 	return measure, analysis.Threshold, nil
+}
+
+// trainQuickClassifier trains TrainQuickModel's classifier on one clean
+// session of every context.
+func trainQuickClassifier(seed int64) (classify.Classifier, error) {
+	clean, err := dataset.Generate(dataset.GenerateConfig{
+		Scenarios: []*sensor.Scenario{{Segments: []sensor.Segment{
+			{Context: sensor.ContextLying, Duration: 12},
+			{Context: sensor.ContextWriting, Duration: 12},
+			{Context: sensor.ContextPlaying, Duration: 12},
+		}}},
+		WindowSize: 100,
+		Seed:       seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return (&classify.TSKTrainer{}).Train(clean)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"cqm/internal/core"
@@ -69,6 +70,34 @@ func TestTrainQuickModelGolden(t *testing.T) {
 			t.Errorf("seed %d: workers 0 gives hash %s threshold %v, workers 1 gives %s %v", g.seed, h0, thr0, got, thr)
 		}
 	}
+}
+
+// trainAllocBudget bounds the heap one TrainQuickModel allocates. The Go
+// runtime runs its first collection when the heap reaches 4 MB; training
+// well under that, with room left for the rest of the daemon's start-up,
+// lets cqmserve listen before any GC cycle, without the training garbage
+// in its resident set.
+const trainAllocBudget = 1 << 20
+
+// TestTrainQuickModelAllocBudget holds one TrainQuickModel to
+// trainAllocBudget bytes of heap allocation. TotalAlloc counts the whole
+// process, so the least of three runs is taken: anything else allocating
+// meanwhile can only add to a run.
+func TestTrainQuickModelAllocBudget(t *testing.T) {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := TrainQuickModel(1, 0); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > trainAllocBudget {
+		t.Errorf("TrainQuickModel(1, 0) allocates %d bytes, budget %d", least, trainAllocBudget)
+	}
+	t.Logf("TrainQuickModel(1, 0) allocates %d bytes", least)
 }
 
 // BenchmarkTrainQuickModel times the in-process training cqmserve runs
