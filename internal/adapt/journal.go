@@ -204,27 +204,9 @@ func OpenJournal(dir string) (*Journal, error) {
 		return nil, fmt.Errorf("adapt: reading journal: %w", err)
 	}
 
-	var records []Record
-	goodLen := 0
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// No newline: a torn tail by definition.
-			break
-		}
-		line := data[off : off+nl]
-		r, decErr := DecodeRecord(line)
-		if decErr != nil {
-			if off+nl+1 >= len(data) {
-				// Corrupt final line: torn mid-append, truncate.
-				break
-			}
-			return nil, fmt.Errorf("%w: record %d undecodable with committed records after it: %v",
-				ErrJournalCorrupt, len(records)+1, decErr)
-		}
-		records = append(records, r)
-		off += nl + 1
-		goodLen = off
+	records, goodLen, err := readJournal(data)
+	if err != nil {
+		return nil, err
 	}
 	if err := VerifyRecords(records); err != nil {
 		return nil, err
@@ -240,6 +222,30 @@ func OpenJournal(dir string) (*Journal, error) {
 		return nil, fmt.Errorf("adapt: opening journal for append: %w", err)
 	}
 	return &Journal{path: path, f: f, records: records}, nil
+}
+
+// readJournal decodes the journal's lines in order. A torn final line — no
+// newline, or one that fails to decode — is dropped: goodLen is the length
+// of the decoded prefix. An undecodable line with lines after it is
+// refused with ErrJournalCorrupt.
+func readJournal(data []byte) (records []Record, goodLen int, err error) {
+	for goodLen < len(data) {
+		nl := bytes.IndexByte(data[goodLen:], '\n')
+		if nl < 0 {
+			break
+		}
+		r, decErr := DecodeRecord(data[goodLen : goodLen+nl])
+		if decErr != nil {
+			if goodLen+nl+1 >= len(data) {
+				break
+			}
+			return nil, 0, fmt.Errorf("%w: record %d undecodable with committed records after it: %v",
+				ErrJournalCorrupt, len(records)+1, decErr)
+		}
+		records = append(records, r)
+		goodLen += nl + 1
+	}
+	return records, goodLen, nil
 }
 
 // Append commits one record: sequence-stamped, checksummed, written, and
@@ -348,21 +354,9 @@ func VerifyJournal(dir string) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adapt: reading journal: %w", err)
 	}
-	var records []Record
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break
-		}
-		r, decErr := DecodeRecord(data[off : off+nl])
-		if decErr != nil {
-			if off+nl+1 >= len(data) {
-				break
-			}
-			return nil, decErr
-		}
-		records = append(records, r)
-		off += nl + 1
+	records, _, err := readJournal(data)
+	if err != nil {
+		return nil, err
 	}
 	if err := VerifyRecords(records); err != nil {
 		return records, err

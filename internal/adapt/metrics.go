@@ -42,15 +42,11 @@ const (
 // adaptMetrics are the pre-resolved supervisor metrics; the zero value (no
 // registry) makes every update a nil-safe no-op.
 type adaptMetrics struct {
-	triggers        *obs.Counter
+	// committed counts committed records by kind; kinds without a
+	// counter, and the zero value, map to a nil (no-op) counter.
+	committed       map[string]*obs.Counter
 	triggersIgnored *obs.Counter
 	retrainsStarted *obs.Counter
-	retrainsOK      *obs.Counter
-	retrainsFailed  *obs.Counter
-	quarantined     *obs.Counter
-	promotions      *obs.Counter
-	rollbacks       *obs.Counter
-	canaryPasses    *obs.Counter
 	errors          *obs.Counter
 	state           *obs.Gauge
 	cooldownUntil   *obs.Gauge
@@ -78,15 +74,17 @@ func newAdaptMetrics(reg *obs.Registry) adaptMetrics {
 	reg.Help(MetricWindowSize, "Pseudo-labelled observations buffered for the next retrain window.")
 	reg.Help(MetricErrors, "Internal adaptation errors with no caller to surface them (journal/disk divergence).")
 	return adaptMetrics{
-		triggers:        reg.Counter(MetricTriggers),
+		committed: map[string]*obs.Counter{
+			KindTrigger:       reg.Counter(MetricTriggers),
+			KindRetrainDone:   reg.Counter(MetricRetrainsSucceeded),
+			KindRetrainFailed: reg.Counter(MetricRetrainsFailed),
+			KindQuarantine:    reg.Counter(MetricQuarantined),
+			KindPromoted:      reg.Counter(MetricPromotions),
+			KindRollback:      reg.Counter(MetricRollbacks),
+			KindCanaryPass:    reg.Counter(MetricCanaryPasses),
+		},
 		triggersIgnored: reg.Counter(MetricTriggersIgnored),
 		retrainsStarted: reg.Counter(MetricRetrainsStarted),
-		retrainsOK:      reg.Counter(MetricRetrainsSucceeded),
-		retrainsFailed:  reg.Counter(MetricRetrainsFailed),
-		quarantined:     reg.Counter(MetricQuarantined),
-		promotions:      reg.Counter(MetricPromotions),
-		rollbacks:       reg.Counter(MetricRollbacks),
-		canaryPasses:    reg.Counter(MetricCanaryPasses),
 		errors:          reg.Counter(MetricErrors),
 		state:           reg.Gauge(MetricState),
 		cooldownUntil:   reg.Gauge(MetricCooldownUntil),

@@ -2,9 +2,11 @@ package adapt
 
 import (
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"cqm/internal/ckpt"
 	"cqm/internal/core"
 	"cqm/internal/quality"
 )
@@ -16,12 +18,37 @@ func errorTrain(_, _ []core.Observation) (*core.Measure, retrainInfo, error) {
 	return nil, retrainInfo{}, errTrainBoom
 }
 
+// TestNewConfigValidation refuses configs that would panic in New, never
+// open a cycle, or leave the gate without a held-out decision.
 func TestNewConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil || !strings.Contains(err.Error(), "Dir and ModelPath") {
 		t.Errorf("New with no paths: err = %v", err)
 	}
 	if _, err := New(Config{Dir: t.TempDir(), ModelPath: "m.json"}); err == nil || !strings.Contains(err.Error(), "Watcher and Handle") {
 		t.Errorf("New with no watcher: err = %v", err)
+	}
+	handle := ckpt.NewHandle(nil)
+	watcher, err := ckpt.NewModelWatcher(ckpt.WatchConfig{Path: filepath.Join(t.TempDir(), "m.json")}, handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"negative-window", func(c *Config) { c.WindowSize = -1 }, "must not be negative"},
+		{"negative-canary", func(c *Config) { c.CanaryWindow = -1 }, "must not be negative"},
+		{"floor-above-window", func(c *Config) { c.MinWindow = c.WindowSize + 1 }, "MinWindow"},
+		{"floor-below-stride", func(c *Config) { c.MinWindow = validationStride - 1 }, "MinWindow"},
+		{"floor-negative", func(c *Config) { c.MinWindow = -1 }, "MinWindow"},
+	} {
+		cfg := smallConfig()
+		cfg.Dir, cfg.ModelPath, cfg.Watcher, cfg.Handle = t.TempDir(), "m.json", watcher, handle
+		tc.edit(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"cqm/internal/ckpt"
@@ -191,17 +192,12 @@ type retrainInfo struct {
 	stopReason string
 }
 
-// cycleCtx is the open cycle's in-memory context, reconstructible from the
-// journal at any record boundary.
+// cycleCtx is the open cycle's in-memory context, rebuilt from its trigger
+// record by apply.
 type cycleCtx struct {
 	cycle          int64
 	at             float64
-	source         string
-	triggerKind    string
-	windowName     string
 	windowHash     string
-	windowLen      int
-	candidateName  string
 	baselineAccept float64
 	canarySeen     int
 	canaryAccepted int
@@ -212,14 +208,28 @@ type cycleCtx struct {
 	canaryAt     float64
 }
 
+// step is one planned transition: the state it leaves and copies of
+// everything its I/O reads, taken under the lock so that act can run
+// without it.
+type step struct {
+	state State
+	cur   cycleCtx
+	// trigger and window are the staged trigger and a deep copy of the
+	// pseudo-label ring, set for a cycle open.
+	trigger *quality.Trigger
+	window  []core.Observation
+}
+
 // Supervisor is the adaptation state machine. Trigger and Decide are the
 // fast inputs (safe to call from scoring and engine hooks): they only
 // update memory. Step performs at most one journaled transition per call,
-// and every journaled transition happens in Step. All methods are safe for
-// concurrent use; determinism is the caller's contract — feed decisions
-// and triggers in a deterministic order and call Step at deterministic
-// points, and the journal, artifacts, and promoted models replay
-// bit-identically.
+// and every journaled transition happens in Step. Under the supervisor
+// lock there is only memory work and one journal append, so no method
+// waits on the artifact I/O, training, gate or watcher of a transition.
+// All methods are safe for concurrent use; determinism is the caller's
+// contract — feed decisions and triggers in a deterministic order and call
+// Step at deterministic points, and the journal, artifacts, and promoted
+// models replay bit-identically.
 type Supervisor struct {
 	cfg Config
 	met adaptMetrics
@@ -245,10 +255,10 @@ type Supervisor struct {
 	pending       *quality.Trigger
 	cooldownUntil float64
 	failStreak    int
-	// training is true while a shadow retrain runs with the lock released;
-	// it makes concurrent Step calls no-ops so only one retrain is in
-	// flight.
-	training bool
+	// busy is true while a Step runs its transition's I/O with the lock
+	// released; it makes concurrent Step calls no-ops, so at most one
+	// transition is in flight.
+	busy bool
 	// lastErr is the newest swallowed internal error (journal append or
 	// last-good persistence failing on a path with no caller to return
 	// to), exposed in Status so journal/disk divergence is visible.
@@ -260,16 +270,22 @@ type Supervisor struct {
 }
 
 // New opens (or resumes) a supervisor over Dir, recovering the state
-// machine from the journal: committed records are replayed, the open cycle's
-// context is reconstructed, and the pending transition re-runs on its
-// persisted inputs at the next Step.
+// machine from the journal: every committed record is applied in order, so
+// the open cycle's context is reconstructed, and the pending transition
+// re-runs on its persisted inputs at the next Step.
 func New(cfg Config) (*Supervisor, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Dir == "" || cfg.ModelPath == "" {
+	switch {
+	case cfg.Dir == "" || cfg.ModelPath == "":
 		return nil, fmt.Errorf("adapt: Dir and ModelPath must be set")
-	}
-	if cfg.Watcher == nil || cfg.Handle == nil {
+	case cfg.Watcher == nil || cfg.Handle == nil:
 		return nil, fmt.Errorf("adapt: Watcher and Handle must be set")
+	case cfg.WindowSize < 0 || cfg.CanaryWindow < 0:
+		return nil, fmt.Errorf("adapt: WindowSize %d and CanaryWindow %d must not be negative", cfg.WindowSize, cfg.CanaryWindow)
+	case cfg.MinWindow < validationStride || cfg.MinWindow > cfg.WindowSize:
+		// Below the stride the gate has no held-out decision; above the
+		// window size no cycle ever opens.
+		return nil, fmt.Errorf("adapt: MinWindow %d must lie in [%d, WindowSize %d]", cfg.MinWindow, validationStride, cfg.WindowSize)
 	}
 	jr, err := OpenJournal(cfg.Dir)
 	if err != nil {
@@ -283,62 +299,55 @@ func New(cfg Config) (*Supervisor, error) {
 		recent: make([]bool, cfg.CanaryWindow),
 	}
 	s.trainFn = s.realTrain
-	s.replay()
+	for _, r := range jr.Records() {
+		s.apply(r)
+	}
 	s.publishState()
 	return s, nil
 }
 
-// replay reconstructs the supervisor state from the committed journal.
-func (s *Supervisor) replay() {
-	for _, r := range s.jr.Records() {
-		if r.Cycle > s.cycle {
-			s.cycle = r.Cycle
-		}
-		switch r.Kind {
-		case KindTrigger:
-			s.cur = cycleCtx{
-				cycle:          r.Cycle,
-				at:             r.At,
-				source:         r.Source,
-				triggerKind:    r.TriggerKind,
-				windowName:     r.Window,
-				windowHash:     r.WindowHash,
-				windowLen:      r.WindowLen,
-				baselineAccept: r.BaselineAccept,
-			}
-			s.state = StateRetraining
-		case KindRetrainDone:
-			s.cur.candidateName = r.Candidate
-			s.state = StateGated
-		case KindGatePass:
-			s.state = StatePromoting
-		case KindPromoted:
-			// Canary counters are zero at every record boundary by
-			// construction, so restarting them here is exact.
-			s.cur.canarySeen = 0
-			s.cur.canaryAccepted = 0
-			s.state = StateCanary
-		case KindCanaryPass:
-			s.failStreak = 0
-			s.cooldownUntil = r.CooldownUntil
-			s.state = StateIdle
-		case KindRetrainFailed, KindQuarantine, KindRollback:
-			s.failStreak++
-			s.cooldownUntil = r.CooldownUntil
-			s.state = StateIdle
-		case KindAbandoned:
-			s.failStreak = 0
-			s.cooldownUntil = r.CooldownUntil
-			s.state = StateIdle
-		}
+// apply moves the state machine by one committed record. It is the only
+// code that writes state, cycle, cur, failStreak and cooldownUntil: New
+// runs it over the journal and commit over each live record, so a resumed
+// supervisor holds what the live one held at the same record.
+func (s *Supervisor) apply(r Record) {
+	s.cycle = r.Cycle
+	switch r.Kind {
+	case KindTrigger:
+		// The canary counts start at zero here and move only in the
+		// canary state, so they are zero at every record boundary.
+		s.cur = cycleCtx{cycle: r.Cycle, at: r.At, windowHash: r.WindowHash, baselineAccept: r.BaselineAccept}
+		s.state = StateRetraining
+	case KindRetrainDone:
+		s.state = StateGated
+	case KindGatePass:
+		s.state = StatePromoting
+	case KindPromoted:
+		s.state = StateCanary
+	default: // a terminal record
+		s.failStreak = s.streakAfter(r.Kind)
+		s.cooldownUntil = r.CooldownUntil
+		s.state = StateIdle
 	}
+}
+
+// streakAfter is the fail streak once a terminal record of kind commits:
+// a failed retrain, a quarantine and a rollback grow the back-off; a
+// canary pass and an abandoned cycle reset it.
+func (s *Supervisor) streakAfter(kind string) int {
+	switch kind {
+	case KindRetrainFailed, KindQuarantine, KindRollback:
+		return s.failStreak + 1
+	}
+	return 0
 }
 
 // Trigger offers a drift trigger to the supervisor. It is fast and
 // non-blocking-safe for the quality engine's OnTrigger hook — the trigger
 // is only staged here; the journaled cycle open happens at the next Step.
 // It reports whether the trigger was staged (false: ignored by cool-down,
-// an open cycle, or an already-staged trigger).
+// an open cycle, or an already-staged trigger, which stays staged while
+// its cycle opens).
 func (s *Supervisor) Trigger(t quality.Trigger) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -397,185 +406,202 @@ func (s *Supervisor) Decide(d Decision) {
 // cycle for a staged trigger, running the shadow retrain, ruling at the
 // validation gate, promoting, or closing a completed canary window. It
 // reports whether a transition ran.
+//
+// Every transition runs in three phases. Plan, under the lock: pick the
+// transition and copy its inputs. Act, with the lock released: the
+// artifact reads and writes, the training, the gate's evaluations and the
+// watcher calls, while the busy flag makes concurrent Steps no-ops.
+// Commit, under the lock: append the transition's record and apply it.
+// The fsynced append stays under the lock on purpose: it is the commit
+// point, so Status, Journal and Close never see disk and memory disagree.
 func (s *Supervisor) Step() (bool, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var err error
-	worked := false
-	switch s.state {
-	case StateIdle:
-		if s.pending == nil || s.windowN < s.cfg.MinWindow {
-			return false, nil
-		}
-		worked, err = true, s.beginCycle()
-	case StateRetraining:
-		if s.training {
-			// Another Step released the lock mid-retrain; the cycle
-			// advances when that call commits its outcome.
-			return false, nil
-		}
-		worked, err = true, s.retrain()
-	case StateGated:
-		worked, err = true, s.gateStep()
-	case StatePromoting:
-		worked, err = true, s.promote()
-	case StateCanary:
-		if !s.cur.canaryClosed {
-			return false, nil
-		}
-		// A failed close journals nothing and keeps the verdict staged;
-		// it is not reported as work, so Drain stops and the next Step
-		// retries.
-		s.finishCanary(s.cur.canaryAt)
-		worked = s.state != StateCanary
+	p, ok := s.plan()
+	if !ok {
+		s.mu.Unlock()
+		return false, nil
 	}
-	s.publishState()
-	return worked, err
+	s.busy = true
+	s.mu.Unlock()
+	rec, err := s.act(p)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.publishState()
+	s.busy = false
+	if p.trigger != nil {
+		// The staged trigger is spent whether or not its cycle opened.
+		s.pending = nil
+	}
+	if p.state != StateCanary {
+		if err != nil {
+			return true, err
+		}
+		return true, s.commit(rec)
+	}
+	// The canary close has no caller to return to. A failed last-good
+	// adoption does not stop the pass; a failed append journals nothing and
+	// keeps the verdict staged, and is not reported as work, so Drain stops
+	// and the next Step retries the idempotent close.
+	if err != nil {
+		s.recordErr(err)
+	}
+	if err := s.commit(rec); err != nil {
+		s.recordErr(fmt.Errorf("adapt: journaling %s: %w", rec.Kind, err))
+		return false, nil
+	}
+	return true, nil
 }
 
-// beginCycle commits a staged trigger: the pseudo-label window is
-// snapshotted to an artifact (write-ahead: the artifact lands before the
-// record naming it), the cycle opens in the journal, and the state moves
-// to retraining.
-func (s *Supervisor) beginCycle() error {
-	t := s.pending
-	s.pending = nil
-	cycle := s.cycle + 1
-	dir := filepath.Join(s.cfg.Dir, CycleDirName(cycle))
+// plan picks the runnable transition, if any, and copies what act reads.
+// A cycle open takes the staged trigger, the accept-rate baseline over
+// the recent decisions and a deep copy of the window. Called with the lock
+// held.
+func (s *Supervisor) plan() (step, bool) {
+	p := step{state: s.state, cur: s.cur}
+	switch {
+	case s.busy:
+		return p, false
+	case s.state == StateIdle:
+		t := s.pending
+		if t == nil || s.windowN < s.cfg.MinWindow {
+			return p, false
+		}
+		baseline := t.Window.AcceptRate
+		if s.recentN > 0 {
+			accepted := 0
+			for _, a := range s.recent[:s.recentN] {
+				if a {
+					accepted++
+				}
+			}
+			baseline = float64(accepted) / float64(s.recentN)
+		}
+		p.trigger, p.window = t, s.snapshotWindow()
+		p.cur = cycleCtx{cycle: s.cycle + 1, at: t.At, baselineAccept: baseline}
+	case s.state == StateCanary:
+		return p, s.cur.canaryClosed
+	}
+	return p, true
+}
+
+// snapshotWindow copies the pseudo-label ring, oldest first. The copy owns
+// its cue slices, because Decide reuses the ring's.
+func (s *Supervisor) snapshotWindow() []core.Observation {
+	out := make([]core.Observation, s.windowN)
+	start := s.windowNext - s.windowN + len(s.window)
+	for i := range out {
+		out[i] = s.window[(start+i)%len(s.window)]
+		out[i].Cues = slices.Clone(out[i].Cues)
+	}
+	return out
+}
+
+// act runs a planned transition with the lock released and returns the
+// record that commits it. An error leaves the state where it was.
+func (s *Supervisor) act(p step) (Record, error) {
+	var rec Record
+	var err error
+	switch p.state {
+	case StateIdle:
+		rec, err = s.open(p)
+	case StateRetraining:
+		rec, err = s.retrain(p.cur)
+	case StateGated:
+		rec, err = s.gateStep(p.cur)
+	case StatePromoting:
+		rec, err = s.promote(p.cur)
+	case StateCanary:
+		rec, err = s.closeCanary(p.cur)
+	}
+	rec.Cycle = p.cur.cycle
+	return rec, err
+}
+
+// commit journals rec and applies it. A terminal record gets the cool-down
+// of its outcome here; bad outcomes double it per consecutive failure, up
+// to CooldownMax. The record's counter moves only once its line is on
+// disk, so a retried commit counts once. Called with the lock held.
+func (s *Supervisor) commit(rec Record) error {
+	if terminalKinds[rec.Kind] {
+		cooldown := s.cfg.CooldownBase
+		for i := 1; i < s.streakAfter(rec.Kind) && cooldown < s.cfg.CooldownMax; i++ {
+			cooldown *= 2
+		}
+		rec.CooldownUntil = rec.At + min(cooldown, s.cfg.CooldownMax)
+	}
+	if err := s.jr.Append(rec); err != nil {
+		return err
+	}
+	s.apply(rec)
+	s.met.committed[rec.Kind].Inc()
+	return nil
+}
+
+// open snapshots a staged trigger's window to the new cycle's artifact,
+// which lands before the trigger record that names it (write-ahead).
+func (s *Supervisor) open(p step) (Record, error) {
+	t := p.trigger
+	dir := filepath.Join(s.cfg.Dir, CycleDirName(p.cur.cycle))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("adapt: creating cycle dir: %w", err)
+		return Record{}, fmt.Errorf("adapt: creating cycle dir: %w", err)
 	}
-	payload := windowPayload{
-		Source:       t.Source,
-		TriggerKind:  t.Kind,
-		At:           t.At,
-		Observations: s.snapshotWindow(),
-	}
+	payload := windowPayload{Source: t.Source, TriggerKind: t.Kind, At: t.At, Observations: p.window}
 	hash, err := ckpt.HashConfig(payload)
 	if err != nil {
-		return err
+		return Record{}, err
 	}
 	if err := ckpt.WriteArtifact(filepath.Join(dir, WindowArtifactName),
 		ckpt.Manifest{Kind: KindAdaptWindow}, payload); err != nil {
-		return err
+		return Record{}, err
 	}
-	baseline := t.Window.AcceptRate
-	if s.recentN > 0 {
-		accepted := 0
-		for i := 0; i < s.recentN; i++ {
-			if s.recent[i] {
-				accepted++
-			}
-		}
-		baseline = float64(accepted) / float64(s.recentN)
-	}
-	rec := Record{
-		Cycle:          cycle,
+	return Record{
 		Kind:           KindTrigger,
 		At:             t.At,
 		Source:         t.Source,
 		TriggerKind:    t.Kind,
 		Window:         WindowArtifactName,
 		WindowHash:     hash,
-		WindowLen:      len(payload.Observations),
-		BaselineAccept: baseline,
-	}
-	if err := s.jr.Append(rec); err != nil {
-		return err
-	}
-	s.cycle = cycle
-	s.cur = cycleCtx{
-		cycle:          cycle,
-		at:             t.At,
-		source:         t.Source,
-		triggerKind:    t.Kind,
-		windowName:     WindowArtifactName,
-		windowHash:     hash,
-		windowLen:      len(payload.Observations),
-		baselineAccept: baseline,
-	}
-	s.state = StateRetraining
-	s.met.triggers.Inc()
-	return nil
+		WindowLen:      len(p.window),
+		BaselineAccept: p.cur.baselineAccept,
+	}, nil
 }
 
-// snapshotWindow copies the pseudo-label ring, oldest first.
-func (s *Supervisor) snapshotWindow() []core.Observation {
-	out := make([]core.Observation, 0, s.windowN)
-	start := s.windowNext - s.windowN
-	if start < 0 {
-		start += len(s.window)
-	}
-	for i := 0; i < s.windowN; i++ {
-		out = append(out, s.window[(start+i)%len(s.window)])
-	}
-	return out
-}
-
-// loadWindow reads the open cycle's window artifact. The persisted copy —
-// not the live ring — is the retrain and gate input, so an interrupted
-// cycle resumes on byte-identical data.
-func (s *Supervisor) loadWindow() (windowPayload, error) {
+// loadWindow reads a cycle's window artifact. The persisted copy — not the
+// live ring — is the retrain and gate input, so an interrupted cycle
+// resumes on byte-identical data.
+func (s *Supervisor) loadWindow(cycle int64) (windowPayload, error) {
 	var payload windowPayload
-	path := filepath.Join(s.cfg.Dir, CycleDirName(s.cur.cycle), s.cur.windowName)
-	if _, err := ckpt.ReadArtifact(path, KindAdaptWindow, &payload); err != nil {
-		return payload, err
-	}
-	return payload, nil
+	_, err := ckpt.ReadArtifact(filepath.Join(s.cfg.Dir, CycleDirName(cycle), WindowArtifactName), KindAdaptWindow, &payload)
+	return payload, err
 }
 
-// retrain runs the shadow retrain on the snapshotted window and commits
-// the outcome: a candidate artifact plus a retrain-done record, or a
-// terminal retrain-failed record with back-off.
-//
-// Training is the one slow transition, so the supervisor lock is released
-// for the duration of the trainFn call — Decide and Trigger are on the
-// serving hot path and must never wait out a retrain. The inputs are
-// snapshotted under the lock first (the persisted window artifact, not the
-// live ring, is the training input anyway), and the state machine cannot
-// move while unlocked: the state stays StateRetraining and s.training
-// makes concurrent Step calls no-ops.
-func (s *Supervisor) retrain() error {
-	payload, err := s.loadWindow()
+// retrain runs the shadow retrain on the snapshotted window and writes the
+// candidate artifact the retrain-done record names; a training error ends
+// the cycle with retrain-failed.
+func (s *Supervisor) retrain(c cycleCtx) (Record, error) {
+	payload, err := s.loadWindow(c.cycle)
 	if err != nil {
-		return err
+		return Record{}, err
 	}
 	train, validation := splitWindow(payload.Observations)
 	s.met.retrainsStarted.Inc()
-	s.training = true
-	trainFn := s.trainFn
-	s.mu.Unlock()
-	candidate, info, trainErr := trainFn(train, validation)
-	s.mu.Lock()
-	s.training = false
-	if trainErr != nil {
-		s.met.retrainsFailed.Inc()
-		return s.closeCycle(Record{
-			Kind:   KindRetrainFailed,
-			At:     s.cur.at,
-			Reason: trainErr.Error(),
-		}, true)
+	candidate, info, err := s.trainFn(train, validation)
+	if err != nil {
+		return Record{Kind: KindRetrainFailed, At: c.at, Reason: err.Error()}, nil
 	}
-	if err := ckpt.WriteArtifact(filepath.Join(s.cfg.Dir, CycleDirName(s.cur.cycle), CandidateArtifactName),
-		ckpt.Manifest{Kind: ckpt.KindMeasure, ConfigHash: s.cur.windowHash, Epoch: int(s.cur.cycle)},
+	if err := ckpt.WriteArtifact(filepath.Join(s.cfg.Dir, CycleDirName(c.cycle), CandidateArtifactName),
+		ckpt.Manifest{Kind: ckpt.KindMeasure, ConfigHash: c.windowHash, Epoch: int(c.cycle)},
 		candidate); err != nil {
-		return err
+		return Record{}, err
 	}
-	rec := Record{
-		Cycle:      s.cur.cycle,
+	return Record{
 		Kind:       KindRetrainDone,
-		At:         s.cur.at,
+		At:         c.at,
 		Candidate:  CandidateArtifactName,
 		Epochs:     info.epochs,
 		StopReason: info.stopReason,
-	}
-	if err := s.jr.Append(rec); err != nil {
-		return err
-	}
-	s.cur.candidateName = CandidateArtifactName
-	s.state = StateGated
-	s.met.retrainsOK.Inc()
-	return nil
+	}, nil
 }
 
 // realTrain is the production shadow retrain: core.Build over the window
@@ -594,56 +620,40 @@ func (s *Supervisor) realTrain(train, check []core.Observation) (*core.Measure, 
 	return m, info, err
 }
 
-// gateStep rules on the open cycle's candidate: it reloads candidate and
-// window from their artifacts (resume-exact), scores both models on the
-// held-out validation slice, and commits gate-pass or quarantine.
-func (s *Supervisor) gateStep() error {
-	payload, err := s.loadWindow()
+// gateStep rules on the cycle's candidate: it reloads candidate and window
+// from their artifacts (resume-exact), scores both models on the held-out
+// validation slice, and returns gate-pass or quarantine.
+func (s *Supervisor) gateStep(c cycleCtx) (Record, error) {
+	payload, err := s.loadWindow(c.cycle)
 	if err != nil {
-		return err
+		return Record{}, err
 	}
 	_, validation := splitWindow(payload.Observations)
 	var candidate core.Measure
-	candPath := filepath.Join(s.cfg.Dir, CycleDirName(s.cur.cycle), s.cur.candidateName)
+	candPath := filepath.Join(s.cfg.Dir, CycleDirName(c.cycle), CandidateArtifactName)
 	if _, err := ckpt.ReadArtifact(candPath, ckpt.KindMeasure, &candidate); err != nil {
-		return err
+		return Record{}, err
 	}
 	incumbent := s.cfg.Handle.Load()
 	if incumbent == nil {
-		return s.closeCycle(Record{
-			Kind:   KindAbandoned,
-			At:     s.cur.at,
-			Reason: "no incumbent model to gate against",
-		}, false)
+		return Record{Kind: KindAbandoned, At: c.at, Reason: "no incumbent model to gate against"}, nil
 	}
 	v := gate(&candidate, incumbent, validation, s.cfg.Threshold, s.cfg.MinAgreement, s.cfg.RMSESlack)
-	if !v.pass && !s.cfg.DisableGate {
-		s.met.quarantined.Inc()
-		return s.closeCycle(Record{
-			Kind:          KindQuarantine,
-			At:            s.cur.at,
-			Reason:        v.reason,
-			CandidateRMSE: v.candidateRMSE,
-			IncumbentRMSE: v.incumbentRMSE,
-			Agreement:     v.agreement,
-		}, true)
-	}
 	rec := Record{
-		Cycle:         s.cur.cycle,
 		Kind:          KindGatePass,
-		At:            s.cur.at,
+		At:            c.at,
 		CandidateRMSE: v.candidateRMSE,
 		IncumbentRMSE: v.incumbentRMSE,
 		Agreement:     v.agreement,
 	}
-	if s.cfg.DisableGate && !v.pass {
+	switch {
+	case v.pass:
+	case s.cfg.DisableGate:
 		rec.Reason = "gate disabled: " + v.reason
+	default:
+		rec.Kind, rec.Reason = KindQuarantine, v.reason
 	}
-	if err := s.jr.Append(rec); err != nil {
-		return err
-	}
-	s.state = StatePromoting
-	return nil
+	return rec, nil
 }
 
 // promote hot-swaps the candidate into serving: the candidate artifact's
@@ -652,99 +662,70 @@ func (s *Supervisor) gateStep() error {
 // watcher runs deferred), so rollback stays possible until the canary
 // rules. Re-running after a crash is idempotent — the same bytes land and
 // the watcher swaps the same model.
-func (s *Supervisor) promote() error {
+func (s *Supervisor) promote(c cycleCtx) (Record, error) {
 	// The rollback target must exist before the incumbent is overwritten;
 	// promoting without one would make a later rollback a no-op, so a
 	// failed persist aborts the transition (state stays StatePromoting and
 	// the next Step retries).
 	if _, err := os.Stat(s.cfg.Watcher.LastGoodPath()); err != nil {
 		if mgErr := s.cfg.Watcher.MarkGood(); mgErr != nil {
-			return fmt.Errorf("adapt: persisting rollback target before promotion: %w", mgErr)
+			return Record{}, fmt.Errorf("adapt: persisting rollback target before promotion: %w", mgErr)
 		}
 	}
-	candPath := filepath.Join(s.cfg.Dir, CycleDirName(s.cur.cycle), s.cur.candidateName)
-	data, err := os.ReadFile(candPath)
+	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, CycleDirName(c.cycle), CandidateArtifactName))
 	if err != nil {
-		return fmt.Errorf("adapt: reading candidate for promotion: %w", err)
+		return Record{}, fmt.Errorf("adapt: reading candidate for promotion: %w", err)
 	}
 	if err := ckpt.AtomicWriteFile(s.cfg.ModelPath, data, 0o644); err != nil {
-		return err
+		return Record{}, err
 	}
 	if _, err := s.cfg.Watcher.Poll(); err != nil {
 		// The candidate passed the gate but the watcher refused it (decode
 		// or smoke). Restore the incumbent and abandon the cycle.
-		if lg, rbErr := os.ReadFile(s.cfg.Watcher.LastGoodPath()); rbErr == nil {
-			_ = ckpt.AtomicWriteFile(s.cfg.ModelPath, lg, 0o644)
-			_, _ = s.cfg.Watcher.Poll()
-		}
-		return s.closeCycle(Record{
-			Kind:   KindAbandoned,
-			At:     s.cur.at,
-			Reason: "watcher rejected promoted candidate: " + err.Error(),
-		}, false)
+		_ = s.restoreLastGood()
+		return Record{Kind: KindAbandoned, At: c.at, Reason: "watcher rejected promoted candidate: " + err.Error()}, nil
 	}
-	rec := Record{
-		Cycle:          s.cur.cycle,
-		Kind:           KindPromoted,
-		At:             s.cur.at,
-		BaselineAccept: s.cur.baselineAccept,
-	}
-	if err := s.jr.Append(rec); err != nil {
-		return err
-	}
-	s.cur.canarySeen = 0
-	s.cur.canaryAccepted = 0
-	s.state = StateCanary
-	s.met.promotions.Inc()
-	return nil
+	return Record{Kind: KindPromoted, At: c.at, BaselineAccept: c.baselineAccept}, nil
 }
 
-// finishCanary rules on a completed canary window at the closing
-// decision's clamped virtual time: a regression beyond tolerance restores
-// the last-good model (rollback), anything else marks the promotion good.
-// Called with the supervisor lock held.
-func (s *Supervisor) finishCanary(at float64) {
-	canaryAccept := float64(s.cur.canaryAccepted) / float64(s.cur.canarySeen)
-	if canaryAccept < s.cur.baselineAccept-s.cfg.CanaryTolerance {
-		reason := "canary accept rate regressed beyond tolerance"
-		if lg, err := os.ReadFile(s.cfg.Watcher.LastGoodPath()); err == nil {
-			if err := ckpt.AtomicWriteFile(s.cfg.ModelPath, lg, 0o644); err == nil {
-				_, _ = s.cfg.Watcher.Poll()
-			} else {
-				reason += "; restoring last-good failed: " + err.Error()
-			}
-		} else {
-			reason += "; last-good unreadable: " + err.Error()
+// closeCanary rules on a completed canary window at the closing decision's
+// clamped virtual time: a regression beyond tolerance restores the
+// last-good model (rollback), anything else adopts the promoted model as
+// last-good (canary pass). A failed adoption is returned with the pass
+// record: the previous incumbent stays the rollback target, stale but
+// valid.
+func (s *Supervisor) closeCanary(c cycleCtx) (Record, error) {
+	rec := Record{
+		Kind:           KindCanaryPass,
+		At:             c.canaryAt,
+		BaselineAccept: c.baselineAccept,
+		CanaryAccept:   float64(c.canaryAccepted) / float64(c.canarySeen),
+	}
+	if rec.CanaryAccept < c.baselineAccept-s.cfg.CanaryTolerance {
+		rec.Kind, rec.Reason = KindRollback, "canary accept rate regressed beyond tolerance"
+		if err := s.restoreLastGood(); err != nil {
+			rec.Reason += "; " + err.Error()
 		}
-		s.met.rollbacks.Inc()
-		if err := s.closeCycle(Record{
-			Kind:           KindRollback,
-			At:             at,
-			Reason:         reason,
-			BaselineAccept: s.cur.baselineAccept,
-			CanaryAccept:   canaryAccept,
-		}, true); err != nil {
-			// The rollback bytes are on disk but the journal still shows the
-			// cycle in canary: surface the divergence (the verdict stays
-			// staged, so the next Step retries the idempotent close).
-			s.recordErr(fmt.Errorf("adapt: journaling rollback: %w", err))
-		}
-		return
+		return rec, nil
 	}
 	if err := s.cfg.Watcher.MarkGood(); err != nil {
-		// Not fatal — the previous incumbent stays the rollback target,
-		// which is stale but valid — yet it must not pass silently.
-		s.recordErr(fmt.Errorf("adapt: adopting canary survivor as last-good: %w", err))
+		return rec, fmt.Errorf("adapt: adopting canary survivor as last-good: %w", err)
 	}
-	s.met.canaryPasses.Inc()
-	if err := s.closeCycle(Record{
-		Kind:           KindCanaryPass,
-		At:             at,
-		BaselineAccept: s.cur.baselineAccept,
-		CanaryAccept:   canaryAccept,
-	}, false); err != nil {
-		s.recordErr(fmt.Errorf("adapt: journaling canary pass: %w", err))
+	return rec, nil
+}
+
+// restoreLastGood copies the last-good model over the served one and polls
+// the watcher, so serving returns to the incumbent.
+func (s *Supervisor) restoreLastGood() error {
+	lg, err := os.ReadFile(s.cfg.Watcher.LastGoodPath())
+	if err != nil {
+		return fmt.Errorf("last-good unreadable: %w", err)
 	}
+	if err := ckpt.AtomicWriteFile(s.cfg.ModelPath, lg, 0o644); err != nil {
+		return fmt.Errorf("restoring last-good failed: %w", err)
+	}
+	_, _ = s.cfg.Watcher.Poll()
+	return nil
 }
 
 // recordErr surfaces an error from a path with no caller to return it to:
@@ -754,34 +735,6 @@ func (s *Supervisor) recordErr(err error) {
 	s.lastErr = err.Error()
 	s.met.errors.Inc()
 	fmt.Fprintf(os.Stderr, "%v\n", err)
-}
-
-// closeCycle commits a terminal record with the cool-down for the outcome:
-// bad outcomes (failed) grow the exponential back-off, good ones reset it
-// to the refractory base.
-func (s *Supervisor) closeCycle(rec Record, failed bool) error {
-	// The streak commits only with the record: a failed append leaves it
-	// untouched so a retried close doesn't double-count the back-off.
-	streak := 0
-	if failed {
-		streak = s.failStreak + 1
-	}
-	cooldown := s.cfg.CooldownBase
-	for i := 1; i < streak && cooldown < s.cfg.CooldownMax; i++ {
-		cooldown *= 2
-	}
-	if cooldown > s.cfg.CooldownMax {
-		cooldown = s.cfg.CooldownMax
-	}
-	rec.Cycle = s.cur.cycle
-	rec.CooldownUntil = rec.At + cooldown
-	if err := s.jr.Append(rec); err != nil {
-		return err
-	}
-	s.failStreak = streak
-	s.cooldownUntil = rec.CooldownUntil
-	s.state = StateIdle
-	return nil
 }
 
 // publishState refreshes the state gauges. Called with the lock held.

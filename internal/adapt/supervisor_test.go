@@ -46,6 +46,15 @@ type harness struct {
 func newHarness(t *testing.T, dir string, cfg Config, incumbent *core.Measure,
 	trainFn func(train, check []core.Observation) (*core.Measure, retrainInfo, error)) *harness {
 	t.Helper()
+	return newWatchedHarness(t, dir, cfg, incumbent, trainFn, nil)
+}
+
+// newWatchedHarness is newHarness with smoke as the watcher's Smoke hook
+// (nil: ckpt.SmokeProbe).
+func newWatchedHarness(t *testing.T, dir string, cfg Config, incumbent *core.Measure,
+	trainFn func(train, check []core.Observation) (*core.Measure, retrainInfo, error),
+	smoke func(*core.Measure) error) *harness {
+	t.Helper()
 	h := &harness{dir: dir, modelPath: filepath.Join(dir, "model.json")}
 	if _, err := os.Stat(h.modelPath); err != nil {
 		if err := ckpt.WriteArtifact(h.modelPath, ckpt.Manifest{Kind: ckpt.KindMeasure}, incumbent); err != nil {
@@ -54,7 +63,7 @@ func newHarness(t *testing.T, dir string, cfg Config, incumbent *core.Measure,
 	}
 	h.handle = ckpt.NewHandle(nil)
 	var err error
-	h.watcher, err = ckpt.NewModelWatcher(ckpt.WatchConfig{Path: h.modelPath, DeferLastGood: true}, h.handle)
+	h.watcher, err = ckpt.NewModelWatcher(ckpt.WatchConfig{Path: h.modelPath, DeferLastGood: true, Smoke: smoke}, h.handle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,5 +490,5 @@ func TestLabelOverride(t *testing.T) {
 func (s *Supervisor) loadWindowForTest() (windowPayload, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.loadWindow()
+	return s.loadWindow(s.cur.cycle)
 }
