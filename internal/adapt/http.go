@@ -32,7 +32,8 @@ type Status struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// Status assembles the current status snapshot.
+// Status assembles the current status snapshot from fields apply keeps,
+// so it costs the same however long the journal grows.
 func (s *Supervisor) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -42,27 +43,16 @@ func (s *Supervisor) Status() Status {
 		CooldownUntil:  s.cooldownUntil,
 		FailStreak:     s.failStreak,
 		WindowBuffered: s.windowN,
+		Triggers:       s.kinds[KindTrigger],
+		Retrains:       s.kinds[KindRetrainDone],
+		Quarantined:    s.kinds[KindQuarantine],
+		Promotions:     s.kinds[KindPromoted],
+		Rollbacks:      s.kinds[KindRollback],
+		CanaryPass:     s.kinds[KindCanaryPass],
 		LastError:      s.lastErr,
 	}
-	records := s.jr.Records()
-	for _, r := range records {
-		switch r.Kind {
-		case KindTrigger:
-			st.Triggers++
-		case KindRetrainDone:
-			st.Retrains++
-		case KindQuarantine:
-			st.Quarantined++
-		case KindPromoted:
-			st.Promotions++
-		case KindRollback:
-			st.Rollbacks++
-		case KindCanaryPass:
-			st.CanaryPass++
-		}
-	}
-	if len(records) > 0 {
-		last := records[len(records)-1]
+	if s.last.Seq > 0 {
+		last := s.last
 		st.LastRecord = &last
 	}
 	return st

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -182,53 +183,53 @@ func DecodeRecord(line []byte) (Record, error) {
 
 // Journal is the append-only transition log. Appends are the commit points
 // of the state machine: each record is written as one checksummed line,
-// fsynced before Append returns.
+// fsynced before Append returns. The file is the records' only copy.
 type Journal struct {
-	path    string
-	f       *os.File
-	records []Record
+	path string
+	f    *os.File
+	seq  int64 // Seq of the newest committed record: the committed count
 }
 
 // OpenJournal opens (or creates) the journal at dir/JournalName and
-// replays it. A torn final line — the footprint of a crash mid-append — is
-// truncated away silently; a corrupt line anywhere else is refused with
-// ErrJournalCorrupt, because silent loss of committed records would break
-// the resume contract.
-func OpenJournal(dir string) (*Journal, error) {
+// returns its committed records, oldest first, for the caller to replay
+// once; the Journal keeps only their count. A torn final line — the
+// footprint of a crash mid-append — is truncated away silently; a corrupt
+// line anywhere else is refused with ErrJournalCorrupt, because silent
+// loss of committed records would break the resume contract.
+func OpenJournal(dir string) (*Journal, []Record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("adapt: creating journal dir: %w", err)
+		return nil, nil, fmt.Errorf("adapt: creating journal dir: %w", err)
 	}
 	path := filepath.Join(dir, JournalName)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("adapt: reading journal: %w", err)
+	records, goodLen, torn, err := readJournal(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, err
 	}
-
-	records, goodLen, err := readJournal(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := VerifyRecords(records); err != nil {
-		return nil, err
-	}
-	if goodLen < len(data) {
+	if torn {
 		if err := os.Truncate(path, int64(goodLen)); err != nil {
-			return nil, fmt.Errorf("adapt: truncating torn journal tail: %w", err)
+			return nil, nil, fmt.Errorf("adapt: truncating torn journal tail: %w", err)
 		}
 	}
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("adapt: opening journal for append: %w", err)
+		return nil, nil, fmt.Errorf("adapt: opening journal for append: %w", err)
 	}
-	return &Journal{path: path, f: f, records: records}, nil
+	return &Journal{path: path, f: f, seq: int64(len(records))}, records, nil
 }
 
-// readJournal decodes the journal's lines in order. A torn final line — no
-// newline, or one that fails to decode — is dropped: goodLen is the length
-// of the decoded prefix. An undecodable line with lines after it is
-// refused with ErrJournalCorrupt.
-func readJournal(data []byte) (records []Record, goodLen int, err error) {
+// readJournal is the one journal reader, behind OpenJournal,
+// VerifyJournal and Supervisor.Journal: it reads the file at path, decodes
+// its lines in order and checks the records with VerifyRecords, returning
+// them also when only that check fails. A torn final line — no newline, or
+// one that fails to decode — is dropped: goodLen is the length of the
+// decoded prefix and torn reports bytes past it. An undecodable line with
+// lines after it is refused with ErrJournalCorrupt.
+func readJournal(path string) (records []Record, goodLen int, torn bool, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("adapt: reading journal: %w", err)
+	}
 	for goodLen < len(data) {
 		nl := bytes.IndexByte(data[goodLen:], '\n')
 		if nl < 0 {
@@ -239,19 +240,19 @@ func readJournal(data []byte) (records []Record, goodLen int, err error) {
 			if goodLen+nl+1 >= len(data) {
 				break
 			}
-			return nil, 0, fmt.Errorf("%w: record %d undecodable with committed records after it: %v",
+			return nil, 0, false, fmt.Errorf("%w: record %d undecodable with committed records after it: %v",
 				ErrJournalCorrupt, len(records)+1, decErr)
 		}
 		records = append(records, r)
 		goodLen += nl + 1
 	}
-	return records, goodLen, nil
+	return records, goodLen, goodLen < len(data), VerifyRecords(records)
 }
 
 // Append commits one record: sequence-stamped, checksummed, written, and
 // fsynced. The record's Seq field is assigned here.
 func (j *Journal) Append(r Record) error {
-	r.Seq = int64(len(j.records)) + 1
+	r.Seq = j.seq + 1
 	line, err := EncodeRecord(r)
 	if err != nil {
 		return err
@@ -262,13 +263,9 @@ func (j *Journal) Append(r Record) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("adapt: syncing journal: %w", err)
 	}
-	j.records = append(j.records, r)
+	j.seq = r.Seq
 	return nil
 }
-
-// Records returns the committed records, oldest first. The slice is shared;
-// callers must not mutate it.
-func (j *Journal) Records() []Record { return j.records }
 
 // Close releases the journal file handle.
 func (j *Journal) Close() error { return j.f.Close() }
@@ -345,33 +342,24 @@ func VerifyRecords(records []Record) error {
 	return nil
 }
 
-// VerifyJournal opens and verifies the journal in dir without mutating it,
-// returning the records. Referenced artifacts of the open cycle (window,
-// candidate) are checked for existence so the write-ahead contract —
-// artifacts land before the record naming them — is enforced, not assumed.
+// VerifyJournal verifies the journal in dir without mutating it and
+// returns its records: the state-machine invariants of VerifyRecords,
+// and that the window and candidate artifacts every record names exist in
+// its cycle directory, so the write-ahead contract — artifacts land before
+// the record naming them — is enforced, not assumed.
 func VerifyJournal(dir string) ([]Record, error) {
-	data, err := os.ReadFile(filepath.Join(dir, JournalName))
+	records, _, _, err := readJournal(filepath.Join(dir, JournalName))
 	if err != nil {
-		return nil, fmt.Errorf("adapt: reading journal: %w", err)
-	}
-	records, _, err := readJournal(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := VerifyRecords(records); err != nil {
 		return records, err
 	}
 	for _, r := range records {
-		if r.Window != "" {
-			if _, err := os.Stat(filepath.Join(dir, CycleDirName(r.Cycle), r.Window)); err != nil {
-				return records, fmt.Errorf("%w: record %d references missing window artifact %s: %v",
-					ErrJournalInvariant, r.Seq, r.Window, err)
+		for _, name := range []string{r.Window, r.Candidate} {
+			if name == "" {
+				continue
 			}
-		}
-		if r.Candidate != "" {
-			if _, err := os.Stat(filepath.Join(dir, CycleDirName(r.Cycle), r.Candidate)); err != nil {
-				return records, fmt.Errorf("%w: record %d references missing candidate artifact %s: %v",
-					ErrJournalInvariant, r.Seq, r.Candidate, err)
+			if _, err := os.Stat(filepath.Join(dir, CycleDirName(r.Cycle), name)); err != nil {
+				return records, fmt.Errorf("%w: record %d references missing artifact %s: %v",
+					ErrJournalInvariant, r.Seq, name, err)
 			}
 		}
 	}

@@ -21,7 +21,7 @@ func fullCycleRecords() []Record {
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir)
+	j, _, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +34,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenJournal(dir)
+	re, got, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatalf("reopening: %v", err)
 	}
 	defer re.Close()
-	got := re.Records()
 	want := fullCycleRecords()
 	if len(got) != len(want) {
 		t.Fatalf("%d records after reopen, want %d", len(got), len(want))
@@ -53,7 +52,7 @@ func TestJournalRoundTrip(t *testing.T) {
 
 func TestJournalTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir)
+	j, _, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +80,12 @@ func TestJournalTornTailTruncated(t *testing.T) {
 			if err := os.WriteFile(path, append(append([]byte(nil), good...), tail...), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			re, err := OpenJournal(dir)
+			re, records, err := OpenJournal(dir)
 			if err != nil {
 				t.Fatalf("torn tail not truncated: %v", err)
 			}
 			defer re.Close()
-			if n := len(re.Records()); n != 2 {
+			if n := len(records); n != 2 {
 				t.Fatalf("%d records, want 2", n)
 			}
 			data, err := os.ReadFile(path)
@@ -102,7 +101,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 
 func TestJournalMidCorruptionRefused(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir)
+	j, _, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestJournalMidCorruptionRefused(t *testing.T) {
 	if err := os.WriteFile(path, []byte(corrupted), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(dir); !errors.Is(err, ErrJournalCorrupt) {
+	if _, _, err := OpenJournal(dir); !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("mid-journal corruption: err = %v, want ErrJournalCorrupt", err)
 	}
 }
@@ -206,7 +205,7 @@ func TestVerifyRecordsInvariants(t *testing.T) {
 
 func TestVerifyJournalMissingArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir)
+	j, _, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

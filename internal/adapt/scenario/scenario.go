@@ -282,7 +282,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	}
 	res.AcceptAfter = rate(accepts, total)
 
-	res.Records = sup.Journal()
 	res.Generation = watcher.Generation()
 	if res.JournalCRC, err = adapt.FileCRC(filepath.Join(cfg.Dir, "adapt", adapt.JournalName)); err != nil {
 		return nil, err
@@ -293,7 +292,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if res.LastGoodCRC, err = adapt.FileCRC(watcher.LastGoodPath()); err != nil {
 		return nil, err
 	}
-	if _, err := adapt.VerifyJournal(filepath.Join(cfg.Dir, "adapt")); err != nil {
+	if res.Records, err = adapt.VerifyJournal(filepath.Join(cfg.Dir, "adapt")); err != nil {
 		return nil, err
 	}
 	return res, nil

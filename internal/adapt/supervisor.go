@@ -259,6 +259,10 @@ type Supervisor struct {
 	// released; it makes concurrent Step calls no-ops, so at most one
 	// transition is in flight.
 	busy bool
+	// kinds counts the committed records of each kind and last is the
+	// newest one: apply keeps them, so Status reads no history.
+	kinds map[string]int
+	last  Record
 	// lastErr is the newest swallowed internal error (journal append or
 	// last-good persistence failing on a path with no caller to return
 	// to), exposed in Status so journal/disk divergence is visible.
@@ -287,7 +291,7 @@ func New(cfg Config) (*Supervisor, error) {
 		// window size no cycle ever opens.
 		return nil, fmt.Errorf("adapt: MinWindow %d must lie in [%d, WindowSize %d]", cfg.MinWindow, validationStride, cfg.WindowSize)
 	}
-	jr, err := OpenJournal(cfg.Dir)
+	jr, records, err := OpenJournal(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -297,9 +301,10 @@ func New(cfg Config) (*Supervisor, error) {
 		jr:     jr,
 		window: make([]core.Observation, cfg.WindowSize),
 		recent: make([]bool, cfg.CanaryWindow),
+		kinds:  make(map[string]int),
 	}
 	s.trainFn = s.realTrain
-	for _, r := range jr.Records() {
+	for _, r := range records {
 		s.apply(r)
 	}
 	s.publishState()
@@ -311,6 +316,8 @@ func New(cfg Config) (*Supervisor, error) {
 // runs it over the journal and commit over each live record, so a resumed
 // supervisor holds what the live one held at the same record.
 func (s *Supervisor) apply(r Record) {
+	s.kinds[r.Kind]++
+	s.last = r
 	s.cycle = r.Cycle
 	switch r.Kind {
 	case KindTrigger:
@@ -533,6 +540,7 @@ func (s *Supervisor) commit(rec Record) error {
 	if err := s.jr.Append(rec); err != nil {
 		return err
 	}
+	rec.Seq = s.jr.seq
 	s.apply(rec)
 	s.met.committed[rec.Kind].Inc()
 	return nil
@@ -759,11 +767,25 @@ func (s *Supervisor) Drain() error {
 	}
 }
 
-// Journal exposes the committed records for inspection (tests, status).
+// Journal reads the committed records back from the journal file, oldest
+// first. Only the committed count is read under the lock, and exactly that
+// many records are returned, so none whose apply has not run shows. A read
+// error is recorded in Status.LastError and returns nil.
 func (s *Supervisor) Journal() []Record {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Record(nil), s.jr.Records()...)
+	n := s.jr.seq
+	s.mu.Unlock()
+	records, _, _, err := readJournal(s.jr.path)
+	if err == nil && int64(len(records)) < n {
+		err = fmt.Errorf("%w: %d records read, %d committed", ErrJournalCorrupt, len(records), n)
+	}
+	if err != nil {
+		s.mu.Lock()
+		s.recordErr(err)
+		s.mu.Unlock()
+		return nil
+	}
+	return records[:n]
 }
 
 // State returns the current state.
