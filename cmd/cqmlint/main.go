@@ -22,8 +22,10 @@
 // analyses built on a whole-module call graph: determinism-taint
 // (nondeterministic values must not flow into encoders, artifacts, or bus
 // publishes), hotpath-alloc (no unwaived allocation reachable from a
-// //cqm:hotpath root, pruned at //cqm:coldpath), and lock-discipline (no
-// blocking call under a held mutex; consistent lock ordering).
+// //cqm:hotpath root, pruned at //cqm:coldpath), lock-discipline (no
+// blocking call under a held mutex; consistent lock ordering), and unused
+// (every non-test function is reached from a main, an init, a package
+// initializer, the root package's API or an implicitly called method).
 //
 // -escapes compiles the module with -gcflags=-m, attributes the
 // compiler's escape diagnostics to hot-path functions, and diffs them

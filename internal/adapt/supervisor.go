@@ -771,6 +771,8 @@ func (s *Supervisor) Drain() error {
 // first. Only the committed count is read under the lock, and exactly that
 // many records are returned, so none whose apply has not run shows. A read
 // error is recorded in Status.LastError and returns nil.
+//
+//lint:ignore unused the supervisor tests read the committed history through it
 func (s *Supervisor) Journal() []Record {
 	s.mu.Lock()
 	n := s.jr.seq

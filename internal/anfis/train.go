@@ -716,18 +716,11 @@ func newGradPartial(m, n int) gradPartial {
 
 // RMSE returns the root-mean-square error of the system over the data.
 // Samples that activate no rule contribute the worst-case error of 1 so
-// degenerate systems are penalized rather than hidden. Equivalent to
-// RMSEParallel with a single worker.
+// degenerate systems are penalized rather than hidden.
+//
+//lint:ignore unused the build and train tests measure fit with it
 func RMSE(sys *fuzzy.TSK, data *Data) float64 {
 	return rmseWith(sys, data, parallel.New(1))
-}
-
-// RMSEParallel computes RMSE with up to workers goroutines (0 = one per
-// CPU, falling back to serial below a size cutoff; 1 = serial). The
-// result is bit-identical to RMSE at every worker count: the sum of
-// squares is chunked by input shape and merged in chunk order either way.
-func RMSEParallel(sys *fuzzy.TSK, data *Data, workers int) float64 {
-	return rmseWith(sys, data, parallel.Auto(workers, data.Len(), anfisCutoff))
 }
 
 func rmseWith(sys *fuzzy.TSK, data *Data, pool *parallel.Pool) float64 {

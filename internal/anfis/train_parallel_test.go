@@ -78,23 +78,6 @@ func TestTrainSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestRMSEParallelEquivalence checks the chunked error reduction alone,
-// on data large enough to clear the serial cutoff.
-func TestRMSEParallelEquivalence(t *testing.T) {
-	d := sineData(1200, 7, 0.1)
-	sys, err := Build(d, BuildConfig{Clustering: cluster.SubtractiveConfig{Radius: 0.4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RMSE(sys, d)
-	for workers := 0; workers <= 8; workers++ {
-		//lint:ignore floatcmp the parallel contract is bit-identical output, so exact equality is the assertion
-		if got := RMSEParallel(sys, d, workers); got != want {
-			t.Fatalf("workers=%d: RMSE %v != serial %v", workers, got, want)
-		}
-	}
-}
-
 // TestTrainWorkersValidation rejects a negative worker count up front.
 func TestTrainWorkersValidation(t *testing.T) {
 	train := sineData(40, 8, 0)

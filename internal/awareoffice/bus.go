@@ -392,38 +392,14 @@ func (b *Bus) Subscribe(name string, handler func(Event)) {
 
 // SetLink overrides the link used for deliveries to one subscriber —
 // degrade or partition a single appliance. A loss of 1 is a partition.
+//
+//lint:ignore unused TestLinkValidation and the partition tests drive per-subscriber links through it
 func (b *Bus) SetLink(subscriber string, link Link) error {
 	if err := link.validate(); err != nil {
 		return err
 	}
 	b.links[subscriber] = link
 	return nil
-}
-
-// SchedulePartition cuts one subscriber off the bus at virtual time start
-// and heals the link at virtual time heal, restoring whatever link
-// override (or default) was in effect when the partition began. Scheduled
-// heals make partition experiments reproducible without hand-written
-// callbacks.
-func (b *Bus) SchedulePartition(subscriber string, start, heal float64) error {
-	if heal < start {
-		return fmt.Errorf("%w: partition heal %v before start %v", ErrBadLink, heal, start)
-	}
-	var saved Link
-	var hadOverride bool
-	if err := b.sim.Schedule(start, func() {
-		saved, hadOverride = b.links[subscriber]
-		b.links[subscriber] = Link{Loss: 1}
-	}); err != nil {
-		return err
-	}
-	return b.sim.Schedule(heal, func() {
-		if hadOverride {
-			b.links[subscriber] = saved
-			return
-		}
-		delete(b.links, subscriber)
-	})
 }
 
 // EnableReliability turns on publisher-side retransmission with the given
@@ -470,6 +446,8 @@ func (b *Bus) Close() {
 }
 
 // Closed reports whether the bus has been shut down.
+//
+//lint:ignore unused TestBusClose probes the bus with it
 func (b *Bus) Closed() bool { return b.closed }
 
 // Publish broadcasts the event to every subscriber except its source.
@@ -644,6 +622,8 @@ func eventFromFrame(frame []byte) (Event, bool) {
 
 // Corrupted returns the number of deliveries dropped by CRC failure —
 // shorthand for Stats().Corrupted.
+//
+//lint:ignore unused TestBitErrorNoisyChannelDropsCorrupted probes the bus with it
 func (b *Bus) Corrupted() int { return b.stats.Corrupted }
 
 // Stats returns one consistent snapshot of the bus's delivery accounting:

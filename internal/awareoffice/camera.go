@@ -227,6 +227,8 @@ func (c *Camera) Accepted() int { return c.accepted }
 func (c *Camera) Fallbacks() int { return c.fallbacks }
 
 // Duplicates returns the number of duplicate deliveries suppressed.
+//
+//lint:ignore unused the camera dedup tests and FuzzBusDeliver probe the camera with it
 func (c *Camera) Duplicates() int { return c.duplicate }
 
 func (c *Camera) name() string {

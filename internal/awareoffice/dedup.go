@@ -43,6 +43,8 @@ func (d *seqDedup) Seen(source string, seq int) bool {
 }
 
 // Sources returns the number of publishers currently tracked.
+//
+//lint:ignore unused TestCameraDedupStateBounded probes the dedup window with it
 func (d *seqDedup) Sources() int { return len(d.sources) }
 
 // seen advances or probes the window for one 16-bit sequence number.

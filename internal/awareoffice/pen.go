@@ -89,6 +89,8 @@ func (p *Pen) Attach(bus *Bus) {
 // power cycle. Receivers must tolerate the reset — the dedup window treats
 // a sequence far behind the current one as a reboot and restarts tracking
 // instead of rejecting the reborn node.
+//
+//lint:ignore unused TestPenScheduleReboot drives the camera's reboot tolerance through it
 func (p *Pen) ScheduleReboot(sim *Simulation, at float64) error {
 	return sim.Schedule(at, func() { p.seq = 0 })
 }
@@ -294,6 +296,8 @@ func (p *Pen) measure() *core.Measure {
 }
 
 // DegradedWindows returns the number of fed windows flagged as degraded.
+//
+//lint:ignore unused TestSensorFaultsForceEpsilonEndToEnd probes the pen with it
 func (p *Pen) DegradedWindows() int { return p.degraded }
 
 func (p *Pen) name() string {

@@ -156,58 +156,6 @@ func TestPenScheduleReboot(t *testing.T) {
 	}
 }
 
-func TestSchedulePartitionAndHeal(t *testing.T) {
-	sim := NewSimulation(5)
-	bus, err := NewBus(sim, Link{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recorder{name: "island"}
-	rec.attach(bus)
-	custom := Link{Latency: 0.5}
-	if err := bus.SetLink("island", custom); err != nil {
-		t.Fatal(err)
-	}
-	if err := bus.SchedulePartition("island", 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	for i, at := range []float64{0.25, 1.5, 2.5} {
-		i, at := i, at
-		if err := sim.Schedule(at, func() {
-			if err := bus.Publish(Event{Source: "pen", Seq: i, Sent: at}); err != nil {
-				t.Errorf("publish at %v: %v", at, err)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Run(10)
-
-	if got := len(rec.events); got != 2 {
-		t.Fatalf("delivered %d events across partition, want 2 (the mid-partition one lost)", got)
-	}
-	for _, ev := range rec.events {
-		if ev.Seq == 1 {
-			t.Fatal("mid-partition event delivered")
-		}
-	}
-	// The heal must restore the pre-partition override, not the default.
-	if got := bus.linkFor("island"); got != custom {
-		t.Fatalf("healed link = %+v, want restored override %+v", got, custom)
-	}
-}
-
-func TestSchedulePartitionRejectsBackwardHeal(t *testing.T) {
-	sim := NewSimulation(5)
-	bus, err := NewBus(sim, Link{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bus.SchedulePartition("x", 2, 1); err == nil {
-		t.Fatal("heal before start accepted")
-	}
-}
-
 func TestReliabilityBackoffPolicy(t *testing.T) {
 	r := Reliability{}.withDefaults()
 	rng := rand.New(rand.NewSource(1))

@@ -33,9 +33,6 @@ func NewSimulation(seed int64) *Simulation {
 // Now returns the current virtual time in seconds.
 func (s *Simulation) Now() float64 { return s.now }
 
-// Rand exposes the simulation's deterministic randomness source.
-func (s *Simulation) Rand() *rand.Rand { return s.rng }
-
 // Schedule queues fn to run at virtual time `at`. Scheduling strictly in
 // the past is rejected; scheduling "now" is allowed and runs after the
 // current action completes.
@@ -67,6 +64,8 @@ func (s *Simulation) Run(until float64) {
 }
 
 // Pending returns the number of queued actions.
+//
+//lint:ignore unused TestSimulationRunUntilBoundary probes the queue with it
 func (s *Simulation) Pending() int { return s.queue.Len() }
 
 // task is one scheduled action.
@@ -90,8 +89,10 @@ func (h taskHeap) Less(i, j int) bool {
 
 func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
+//lint:ignore unused container/heap calls it through heap.Interface
 func (h *taskHeap) Push(x any) { *h = append(*h, x.(*task)) }
 
+//lint:ignore unused container/heap calls it through heap.Interface
 func (h *taskHeap) Pop() any {
 	old := *h
 	n := len(old)

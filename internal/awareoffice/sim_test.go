@@ -80,14 +80,6 @@ func TestSimulationNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestSimulationRandDeterministic(t *testing.T) {
-	a := NewSimulation(7).Rand().Float64()
-	b := NewSimulation(7).Rand().Float64()
-	if a != b {
-		t.Error("same-seed simulations expose different randomness")
-	}
-}
-
 func TestSimulationRejectsPast(t *testing.T) {
 	sim := NewSimulation(1)
 	if err := sim.Schedule(2, func() {}); err != nil {

@@ -96,6 +96,8 @@ func (p *Proxy) Counts() [kindCount]uint64 {
 // Schedules returns a copy of every finished stream's recorded decision
 // schedule, keyed by stream index (empty unless Config.Record; a stream
 // appears once its pump has ended).
+//
+//lint:ignore unused the chaos invariant tests replay the proxy's decisions through it
 func (p *Proxy) Schedules() map[int64][]Decision {
 	p.mu.Lock()
 	defer p.mu.Unlock()

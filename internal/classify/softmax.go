@@ -52,6 +52,8 @@ func (s *Softmax) Classify(cues []float64) (sensor.Context, error) {
 
 // Probabilities returns the per-class softmax distribution for the cues,
 // keyed by class, in training-class order.
+//
+//lint:ignore unused TestSoftmaxErrors checks it alongside Classify
 func (s *Softmax) Probabilities(cues []float64) (map[sensor.Context]float64, error) {
 	if !s.trained {
 		return nil, ErrUntrained

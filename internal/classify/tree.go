@@ -54,6 +54,8 @@ func (dt *DecisionTree) Classify(cues []float64) (sensor.Context, error) {
 }
 
 // Depth returns the tree height (a leaf-only tree has depth 1).
+//
+//lint:ignore unused TestDecisionTreeDepthBound checks MaxDepth through it
 func (dt *DecisionTree) Depth() int {
 	return depthOf(dt.root)
 }

@@ -30,10 +30,14 @@ func (t *TSK) Name() string { return "tsk-fis" }
 
 // System returns the underlying fuzzy system (for inspection and
 // serialization); mutating the returned system mutates the classifier.
+//
+//lint:ignore unused TestTSKClassesSorted probes the trained classifier with it
 func (t *TSK) System() *fuzzy.TSK { return t.sys }
 
 // Classes returns the contexts the classifier can produce, in identifier
 // order.
+//
+//lint:ignore unused TestTSKClassesSorted probes the trained classifier with it
 func (t *TSK) Classes() []sensor.Context {
 	out := make([]sensor.Context, len(t.classes))
 	copy(out, t.classes)

@@ -7,7 +7,6 @@
 // the neighbourhood radius define the initial Gaussian membership
 // functions.
 //
-// Mountain clustering (Yager & Filev), fuzzy c-means and k-means are
-// implemented alongside for the ablation experiments that justify the
-// paper's choice.
+// Mountain clustering (Yager & Filev) and fuzzy c-means are implemented
+// alongside for the ablation experiments that justify the paper's choice.
 package cluster

@@ -159,19 +159,3 @@ func FCM(data [][]float64, cfg FCMConfig) (*FCMResult, error) {
 		Objective:   obj,
 	}, nil
 }
-
-// Harden converts a fuzzy membership matrix into crisp assignments by
-// maximum membership.
-func Harden(memberships [][]float64) []int {
-	out := make([]int, len(memberships))
-	for i, row := range memberships {
-		best := 0
-		for k, v := range row {
-			if v > row[best] {
-				best = k
-			}
-		}
-		out[i] = best
-	}
-	return out
-}

@@ -80,87 +80,6 @@ func TestMountainErrors(t *testing.T) {
 	}
 }
 
-func TestKMeansThreeBlobs(t *testing.T) {
-	data := threeBlobs(9, 40)
-	res, err := KMeans(data, KMeansConfig{K: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Centers) != 3 {
-		t.Fatalf("got %d centers", len(res.Centers))
-	}
-	for _, truth := range [][]float64{{0, 0}, {5, 5}, {0, 5}} {
-		best := math.Inf(1)
-		for _, c := range res.Centers {
-			if d := math.Sqrt(sqDist(truth, c)); d < best {
-				best = d
-			}
-		}
-		if best > 0.5 {
-			t.Errorf("no k-means center near %v (closest %.2f)", truth, best)
-		}
-	}
-	if res.Inertia <= 0 {
-		t.Errorf("Inertia = %v, want > 0 for noisy blobs", res.Inertia)
-	}
-	if len(res.Assignment) != len(data) {
-		t.Error("assignment length mismatch")
-	}
-}
-
-func TestKMeansAssignmentsAreNearest(t *testing.T) {
-	data := threeBlobs(10, 20)
-	res, err := KMeans(data, KMeansConfig{K: 3, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range data {
-		assigned := sqDist(p, res.Centers[res.Assignment[i]])
-		for _, c := range res.Centers {
-			if sqDist(p, c) < assigned-1e-12 {
-				t.Fatalf("point %d not assigned to nearest center", i)
-			}
-		}
-	}
-}
-
-func TestKMeansKEqualsN(t *testing.T) {
-	data := [][]float64{{0, 0}, {1, 1}, {2, 2}}
-	res, err := KMeans(data, KMeansConfig{K: 3, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Inertia > 1e-18 {
-		t.Errorf("K=N inertia = %v, want 0", res.Inertia)
-	}
-}
-
-func TestKMeansErrors(t *testing.T) {
-	if _, err := KMeans(nil, KMeansConfig{K: 2}); !errors.Is(err, ErrNoData) {
-		t.Errorf("empty: %v", err)
-	}
-	if _, err := KMeans([][]float64{{1}}, KMeansConfig{K: 2}); !errors.Is(err, ErrBadParam) {
-		t.Errorf("k>n: %v", err)
-	}
-	if _, err := KMeans([][]float64{{1}}, KMeansConfig{K: 0}); !errors.Is(err, ErrBadParam) {
-		t.Errorf("k=0: %v", err)
-	}
-	if _, err := KMeans([][]float64{{1}, {1, 2}}, KMeansConfig{K: 1}); !errors.Is(err, ErrRagged) {
-		t.Errorf("ragged: %v", err)
-	}
-}
-
-func TestKMeansDeterministicForSeed(t *testing.T) {
-	data := threeBlobs(11, 25)
-	a, _ := KMeans(data, KMeansConfig{K: 3, Seed: 42})
-	b, _ := KMeans(data, KMeansConfig{K: 3, Seed: 42})
-	for i := range a.Centers {
-		if sqDist(a.Centers[i], b.Centers[i]) != 0 {
-			t.Fatal("same seed produced different centers")
-		}
-	}
-}
-
 func TestFCMThreeBlobs(t *testing.T) {
 	data := threeBlobs(12, 40)
 	res, err := FCM(data, FCMConfig{C: 3, Seed: 1})
@@ -200,18 +119,6 @@ func TestFCMMembershipRowsSumToOne(t *testing.T) {
 	}
 }
 
-func TestFCMHarden(t *testing.T) {
-	m := [][]float64{
-		{0.9, 0.1},
-		{0.2, 0.8},
-		{0.5, 0.5},
-	}
-	got := Harden(m)
-	if got[0] != 0 || got[1] != 1 {
-		t.Errorf("Harden = %v", got)
-	}
-}
-
 func TestFCMErrors(t *testing.T) {
 	if _, err := FCM(nil, FCMConfig{C: 2}); !errors.Is(err, ErrNoData) {
 		t.Errorf("empty: %v", err)
@@ -233,17 +140,6 @@ func BenchmarkSubtractive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Subtractive(data, SubtractiveConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKMeans(b *testing.B) {
-	data := threeBlobs(1, 60)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := KMeans(data, KMeansConfig{K: 3, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

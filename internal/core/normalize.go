@@ -58,6 +58,8 @@ func normalize(x float64) (q float64, ok bool) {
 // including the 1−x branch whose result is negative on (1, 1.5]. It exists
 // for the ablation experiment comparing the literal formula against the
 // symmetric fold; production code uses Normalize.
+//
+//lint:ignore unused TestNormalizeLiteralMatchesPaperFormula checks Normalize against it
 func NormalizeLiteral(x float64) (float64, error) {
 	q, err := Normalize(x)
 	if err == nil && x > 1 {

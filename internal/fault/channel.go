@@ -44,6 +44,8 @@ type GilbertElliott struct {
 }
 
 // Validate checks the channel parameters.
+//
+//lint:ignore unused the Gilbert-Elliott tests check their parameters through it
 func (g *GilbertElliott) Validate() error {
 	for _, p := range []float64{g.PGoodBad, g.PBadGood, g.LossGood, g.LossBad} {
 		if p < 0 || p > 1 {
@@ -97,6 +99,8 @@ func (g *GilbertElliott) Drop(rng *rand.Rand) bool {
 }
 
 // Bad reports whether the channel currently sits in the bad state.
+//
+//lint:ignore unused TestGilbertElliottValidateAndInstrument probes the channel state with it
 func (g *GilbertElliott) Bad() bool { return g.bad }
 
 // Drops returns the number of deliveries the channel has eaten.
@@ -152,6 +156,8 @@ type Truncate struct {
 }
 
 // Validate checks the truncation probability.
+//
+//lint:ignore unused TestTruncateCutsFrames checks Corrupt with it
 func (t *Truncate) Validate() error {
 	if t.Prob < 0 || t.Prob > 1 {
 		return fmt.Errorf("%w: truncate probability %v", ErrBadFault, t.Prob)
@@ -161,6 +167,8 @@ func (t *Truncate) Validate() error {
 
 // Instrument registers the truncation counter on reg; a nil registry turns
 // instrumentation off.
+//
+//lint:ignore unused TestTruncateCutsFrames checks Corrupt with it
 func (t *Truncate) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		t.met = nil
@@ -182,4 +190,6 @@ func (t *Truncate) Corrupt(frame []byte, rng *rand.Rand) []byte {
 }
 
 // Truncated returns the number of frames cut so far.
+//
+//lint:ignore unused TestTruncateCutsFrames checks Corrupt with it
 func (t *Truncate) Truncated() int { return t.truncated }

@@ -298,6 +298,8 @@ func NewInjector(seed int64, faults ...SensorFault) *Injector {
 
 // Instrument registers one injected-samples counter per fault class on
 // reg; a nil registry turns instrumentation off.
+//
+//lint:ignore unused TestInjectorInstrumented checks Apply's counts against it
 func (in *Injector) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		in.met = nil

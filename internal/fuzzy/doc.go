@@ -1,7 +1,6 @@
 // Package fuzzy implements the fuzzy-logic substrate of the CQM system:
-// membership functions, fuzzy set algebra, and Takagi–Sugeno–Kang (TSK)
-// fuzzy inference systems with Gaussian antecedents and linear consequents
-// (paper §2.1.2).
+// Takagi–Sugeno–Kang (TSK) fuzzy inference systems with Gaussian
+// antecedents and linear consequents (paper §2.1.2).
 //
 // A TSK rule j over the input v_Q = (v_1, …, v_n, c) reads
 //
@@ -17,5 +16,5 @@
 //
 // The same TSK machinery serves both roles in the paper's architecture:
 // the AwarePen's own context classifier and the quality FIS S_Q stacked on
-// top of it. A small Mamdani system is included for comparison experiments.
+// top of it.
 package fuzzy

@@ -5,13 +5,6 @@ import (
 	"math"
 )
 
-// Membership is a membership function: it maps a crisp value to a degree of
-// membership in [0, 1].
-type Membership interface {
-	// Eval returns the membership degree of x.
-	Eval(x float64) float64
-}
-
 // Gaussian is the membership function the paper uses throughout:
 // F(x) = exp(−(x−µ)² / (2σ²)). Sigma must be positive for a meaningful
 // function; NewGaussian enforces this.
@@ -23,6 +16,8 @@ type Gaussian struct {
 // NewGaussian returns a Gaussian membership function. It panics on
 // non-positive sigma, which is a programming error: automated construction
 // always derives sigma from positive cluster radii.
+//
+//lint:ignore unused TestGaussianPeakAndSymmetry builds the Gaussian it checks through it
 func NewGaussian(mu, sigma float64) Gaussian {
 	if sigma <= 0 || math.IsNaN(sigma) {
 		panic(fmt.Sprintf("fuzzy: Gaussian sigma must be positive, got %v", sigma))
@@ -35,111 +30,3 @@ func (g Gaussian) Eval(x float64) float64 {
 	d := x - g.Mu
 	return math.Exp(-d * d / (2 * g.Sigma * g.Sigma))
 }
-
-// GradMu returns ∂F/∂µ at x, used by the ANFIS backward pass.
-func (g Gaussian) GradMu(x float64) float64 {
-	d := x - g.Mu
-	return g.Eval(x) * d / (g.Sigma * g.Sigma)
-}
-
-// GradSigma returns ∂F/∂σ at x, used by the ANFIS backward pass.
-func (g Gaussian) GradSigma(x float64) float64 {
-	d := x - g.Mu
-	s := g.Sigma
-	return g.Eval(x) * d * d / (s * s * s)
-}
-
-// Bell is the generalized bell membership function
-// F(x) = 1 / (1 + |((x−c)/a)|^(2b)).
-type Bell struct {
-	A float64 `json:"a"` // width
-	B float64 `json:"b"` // slope
-	C float64 `json:"c"` // center
-}
-
-// Eval returns the bell membership degree of x.
-func (b Bell) Eval(x float64) float64 {
-	if b.A == 0 {
-		if x == b.C { //lint:ignore floatcmp degenerate zero-width bell fires only at its stored center
-			return 1
-		}
-		return 0
-	}
-	return 1 / (1 + math.Pow(math.Abs((x-b.C)/b.A), 2*b.B))
-}
-
-// Triangular is the triangle membership function with feet at Left/Right
-// and peak at Peak.
-type Triangular struct {
-	Left  float64 `json:"left"`
-	Peak  float64 `json:"peak"`
-	Right float64 `json:"right"`
-}
-
-// Eval returns the triangular membership degree of x.
-func (t Triangular) Eval(x float64) float64 {
-	switch {
-	case x <= t.Left || x >= t.Right:
-		// Degenerate spikes still fire at the peak itself.
-		if x == t.Peak { //lint:ignore floatcmp spike membership compares against the stored peak verbatim
-			return 1
-		}
-		return 0
-	case x == t.Peak: //lint:ignore floatcmp spike membership compares against the stored peak verbatim
-		return 1
-	case x < t.Peak:
-		return (x - t.Left) / (t.Peak - t.Left)
-	default:
-		return (t.Right - x) / (t.Right - t.Peak)
-	}
-}
-
-// Trapezoidal is the trapezoid membership function with support
-// [A, D] and core [B, C].
-type Trapezoidal struct {
-	A float64 `json:"a"`
-	B float64 `json:"b"`
-	C float64 `json:"c"`
-	D float64 `json:"d"`
-}
-
-// Eval returns the trapezoidal membership degree of x.
-func (t Trapezoidal) Eval(x float64) float64 {
-	switch {
-	case x < t.A || x > t.D:
-		return 0
-	case x >= t.B && x <= t.C:
-		return 1
-	case x < t.B:
-		if t.B == t.A { //lint:ignore floatcmp equal stored feet mean a vertical shoulder; guards the division below
-			return 1
-		}
-		return (x - t.A) / (t.B - t.A)
-	default:
-		if t.D == t.C { //lint:ignore floatcmp equal stored feet mean a vertical shoulder; guards the division below
-			return 1
-		}
-		return (t.D - x) / (t.D - t.C)
-	}
-}
-
-// Sigmoid is the sigmoidal membership function
-// F(x) = 1 / (1 + exp(−A(x−C))).
-type Sigmoid struct {
-	A float64 `json:"a"` // slope; negative slopes open leftward
-	C float64 `json:"c"` // inflection point
-}
-
-// Eval returns the sigmoid membership degree of x.
-func (s Sigmoid) Eval(x float64) float64 {
-	return 1 / (1 + math.Exp(-s.A*(x-s.C)))
-}
-
-// Compile-time interface checks.
-var (
-	_ Membership = Gaussian{}
-	_ Membership = Bell{}
-	_ Membership = Triangular{}
-	_ Membership = Trapezoidal{}
-	_ Membership = Sigmoid{}
-)

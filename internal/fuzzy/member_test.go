@@ -2,9 +2,7 @@ package fuzzy
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestGaussianPeakAndSymmetry(t *testing.T) {
@@ -31,127 +29,5 @@ func TestGaussianPanicsOnBadSigma(t *testing.T) {
 			}()
 			NewGaussian(0, sigma)
 		}()
-	}
-}
-
-func TestGaussianGradientsMatchNumerical(t *testing.T) {
-	g := NewGaussian(0.7, 0.3)
-	const h = 1e-6
-	for _, x := range []float64{0.1, 0.5, 0.7, 0.9, 1.5} {
-		// dF/dmu numerically.
-		up := Gaussian{Mu: g.Mu + h, Sigma: g.Sigma}
-		dn := Gaussian{Mu: g.Mu - h, Sigma: g.Sigma}
-		numMu := (up.Eval(x) - dn.Eval(x)) / (2 * h)
-		if got := g.GradMu(x); math.Abs(got-numMu) > 1e-5 {
-			t.Errorf("GradMu(%v) = %v, numerical %v", x, got, numMu)
-		}
-		// dF/dsigma numerically.
-		us := Gaussian{Mu: g.Mu, Sigma: g.Sigma + h}
-		ds := Gaussian{Mu: g.Mu, Sigma: g.Sigma - h}
-		numSig := (us.Eval(x) - ds.Eval(x)) / (2 * h)
-		if got := g.GradSigma(x); math.Abs(got-numSig) > 1e-5 {
-			t.Errorf("GradSigma(%v) = %v, numerical %v", x, got, numSig)
-		}
-	}
-}
-
-func TestBell(t *testing.T) {
-	b := Bell{A: 2, B: 4, C: 6}
-	if got := b.Eval(6); got != 1 {
-		t.Errorf("Eval at center = %v, want 1", got)
-	}
-	// At c ± a the bell is at 0.5.
-	if got := b.Eval(8); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Eval(c+a) = %v, want 0.5", got)
-	}
-	if math.Abs(b.Eval(4)-b.Eval(8)) > 1e-12 {
-		t.Error("Bell not symmetric")
-	}
-	// Degenerate width.
-	z := Bell{A: 0, B: 1, C: 3}
-	if z.Eval(3) != 1 || z.Eval(4) != 0 {
-		t.Error("degenerate Bell mishandled")
-	}
-}
-
-func TestTriangular(t *testing.T) {
-	tri := Triangular{Left: 0, Peak: 1, Right: 3}
-	tests := []struct {
-		x, want float64
-	}{
-		{-1, 0}, {0, 0}, {0.5, 0.5}, {1, 1}, {2, 0.5}, {3, 0}, {4, 0},
-	}
-	for _, tt := range tests {
-		if got := tri.Eval(tt.x); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Eval(%v) = %v, want %v", tt.x, got, tt.want)
-		}
-	}
-	// Spike at a single point.
-	spike := Triangular{Left: 1, Peak: 1, Right: 1}
-	if spike.Eval(1) != 1 {
-		t.Error("degenerate triangle should fire at its peak")
-	}
-}
-
-func TestTrapezoidal(t *testing.T) {
-	tr := Trapezoidal{A: 0, B: 1, C: 2, D: 4}
-	tests := []struct {
-		x, want float64
-	}{
-		{-1, 0}, {0.5, 0.5}, {1, 1}, {1.5, 1}, {2, 1}, {3, 0.5}, {5, 0},
-	}
-	for _, tt := range tests {
-		if got := tr.Eval(tt.x); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Eval(%v) = %v, want %v", tt.x, got, tt.want)
-		}
-	}
-	// Rectangle (no slopes).
-	rect := Trapezoidal{A: 1, B: 1, C: 2, D: 2}
-	if rect.Eval(1) != 1 || rect.Eval(2) != 1 || rect.Eval(1.5) != 1 {
-		t.Error("rectangular trapezoid core should be 1")
-	}
-}
-
-func TestSigmoid(t *testing.T) {
-	s := Sigmoid{A: 2, C: 1}
-	if got := s.Eval(1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Eval at inflection = %v, want 0.5", got)
-	}
-	if s.Eval(10) < 0.99 {
-		t.Error("sigmoid should saturate high")
-	}
-	if s.Eval(-10) > 0.01 {
-		t.Error("sigmoid should saturate low")
-	}
-	neg := Sigmoid{A: -2, C: 1}
-	if neg.Eval(10) > 0.01 {
-		t.Error("negative slope should open leftward")
-	}
-}
-
-func TestMembershipRangeProperty(t *testing.T) {
-	// Every membership function yields degrees in [0,1] over sane inputs.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		mfs := []Membership{
-			NewGaussian(r.NormFloat64(), 0.1+r.Float64()),
-			Bell{A: 0.5 + r.Float64(), B: 0.5 + 3*r.Float64(), C: r.NormFloat64()},
-			Triangular{Left: -1, Peak: r.Float64(), Right: 2},
-			Trapezoidal{A: -2, B: -1, C: 1, D: 2},
-			Sigmoid{A: 4 * (r.Float64() - 0.5), C: r.NormFloat64()},
-		}
-		for i := 0; i < 50; i++ {
-			x := 10 * (r.Float64() - 0.5)
-			for _, mf := range mfs {
-				d := mf.Eval(x)
-				if d < 0 || d > 1 || math.IsNaN(d) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

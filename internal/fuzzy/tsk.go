@@ -177,6 +177,8 @@ type Detail struct {
 }
 
 // EvalDetail computes the output together with the evaluation trace.
+//
+//lint:ignore unused TestTSKEvalDetailConsistent checks the trace against Eval through it
 func (t *TSK) EvalDetail(v []float64) (Detail, error) {
 	var d Detail
 	if err := t.EvalDetailInto(v, &d); err != nil {

@@ -39,20 +39,23 @@ func (k EdgeKind) String() string {
 }
 
 // Node is one function in the program call graph: a declared function or
-// method, or a function literal.
+// method, a function literal, or a package's variable initializers.
 type Node struct {
 	// Key is the canonical cross-package identity, e.g.
 	// cqm/internal/core.(*Measure).ScoreBatch or cqm/internal/eval.Render$1
-	// for the first func literal inside Render.
+	// for the first func literal inside Render. A package's init functions
+	// are numbered in source order (cqm/internal/lint.init.0), and its
+	// package-level var initializers share one node, cqm.init.vars.
 	Key string
-	// Fn is the type object; nil for function literals.
+	// Fn is the type object; nil for function literals and initializers.
 	Fn *types.Func
 	// Body is the function body (never nil; bodiless declarations get no
-	// node).
+	// node). An initializer node's body is synthesized: one DeclStmt per
+	// package-level var declaration of the package's non-test files.
 	Body *ast.BlockStmt
-	// Decl is the declaration; nil for literals.
+	// Decl is the declaration; nil for literals and initializers.
 	Decl *ast.FuncDecl
-	// Lit is the literal; nil for declared functions.
+	// Lit is the literal; nil for declared functions and initializers.
 	Lit *ast.FuncLit
 	// Unit is the compile unit the node was parsed from.
 	unit *unit
@@ -65,18 +68,24 @@ type Node struct {
 
 // Pos returns the node's declaration position.
 func (n *Node) Pos() token.Pos {
-	if n.Decl != nil {
+	switch {
+	case n.Decl != nil:
 		return n.Decl.Pos()
+	case n.Lit != nil:
+		return n.Lit.Pos()
 	}
-	return n.Lit.Pos()
+	return n.Body.Pos()
 }
 
 // End returns the node's end position.
 func (n *Node) End() token.Pos {
-	if n.Decl != nil {
+	switch {
+	case n.Decl != nil:
 		return n.Decl.End()
+	case n.Lit != nil:
+		return n.Lit.End()
 	}
-	return n.Lit.End()
+	return n.Body.End()
 }
 
 // addEdge records caller→callee, keeping the strongest resolution kind
@@ -176,8 +185,17 @@ func buildGraph(prog *Program) *Graph {
 	}
 	var all []declared
 	for _, u := range prog.units {
+		inits := 0
+		vars := &ast.BlockStmt{}
 		for _, file := range u.files {
 			for _, d := range file.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && initializes(gd) && !prog.InTestFile(gd.Pos()) {
+					if len(vars.List) == 0 {
+						vars.Lbrace = gd.Pos()
+					}
+					vars.List = append(vars.List, &ast.DeclStmt{Decl: gd})
+					vars.Rbrace = gd.End()
+				}
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
@@ -194,10 +212,23 @@ func buildGraph(prog *Program) *Graph {
 					unit: u,
 					out:  make(map[*Node]EdgeKind),
 				}
+				// A package may declare any number of init functions, all
+				// with one name: number them so none replaces another.
+				if fd.Recv == nil && fd.Name.Name == "init" {
+					n.Key = fmt.Sprintf("%s.%d", n.Key, inits)
+					inits++
+				}
 				n.Hot, n.Cold = pragmas(fd.Doc)
 				g.nodes[n.Key] = n
 				all = append(all, declared{n, u})
 			}
+		}
+		// Package-level var initializers run before main like an init
+		// body; one node holds them, so `var X = pkg.F` is an edge.
+		if len(vars.List) > 0 {
+			n := &Node{Key: u.pkg.Path() + ".init.vars", Body: vars, unit: u, out: make(map[*Node]EdgeKind)}
+			g.nodes[n.Key] = n
+			all = append(all, declared{n, u})
 		}
 	}
 
@@ -226,6 +257,20 @@ func buildGraph(prog *Program) *Graph {
 		walkBody(g, d.n, concrete)
 	}
 	return g
+}
+
+// initializes reports whether a declaration is a package-level var
+// declaration with an initializer expression.
+func initializes(gd *ast.GenDecl) bool {
+	if gd.Tok != token.VAR {
+		return false
+	}
+	for _, spec := range gd.Specs {
+		if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // pragmas scans a doc comment for the //cqm:hotpath and //cqm:coldpath
@@ -387,6 +432,12 @@ func sigText(t types.Type) string {
 // Cold nodes terminate the walk: their bodies are treated as off the path.
 // followRefs controls whether function-value reference edges are followed.
 func (g *Graph) Reachable(roots []*Node, followRefs bool) map[*Node]*Node {
+	return g.reach(roots, followRefs, true)
+}
+
+// reach is Reachable with the //cqm:coldpath cut optional: a cold body
+// is off the hot path, but it still runs.
+func (g *Graph) reach(roots []*Node, followRefs, stopCold bool) map[*Node]*Node {
 	parent := make(map[*Node]*Node)
 	queue := make([]*Node, 0, len(roots))
 	for _, r := range roots {
@@ -399,7 +450,7 @@ func (g *Graph) Reachable(roots []*Node, followRefs bool) map[*Node]*Node {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		if cur.Cold {
+		if cur.Cold && stopCold {
 			continue
 		}
 		for _, e := range cur.Edges() {
@@ -434,6 +485,8 @@ func RootPath(parent map[*Node]*Node, n *Node) string {
 
 // Dump renders the graph deterministically for golden tests: one line per
 // node sorted by key, indented lines per outgoing edge sorted by callee.
+//
+//lint:ignore unused TestCallGraphGolden and FuzzCallGraph render the graph with it
 func (g *Graph) Dump() string {
 	var sb strings.Builder
 	for _, n := range g.Nodes() {

@@ -34,6 +34,38 @@ func TestCallGraphGolden(t *testing.T) {
 	}
 }
 
+// TestCallGraphInitializerGoldens pins the nodes that run before main:
+// every init of a package is its own node (inits), and a package's var
+// initializers, with the func literals inside them, hang off one
+// initializer node (varinit, a module whose root package re-exports
+// var Upper = lib.Upper).
+func TestCallGraphInitializerGoldens(t *testing.T) {
+	for _, name := range []string{"inits", "varinit"} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join("testdata", "callgraph", name)
+			prog, err := ProgramDir(dir)
+			if err != nil {
+				t.Fatalf("ProgramDir(%s): %v", dir, err)
+			}
+			got := prog.Graph().Dump()
+			golden := filepath.Join(dir, "graph.txt")
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden (run with -update to create): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("graph dump mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
+			}
+		})
+	}
+}
+
 // TestCallGraphReachability checks the hot-root walk: reference edges
 // pull in literals and the functions they close over, interface dispatch
 // fans out to every implementation, and //cqm:coldpath stops descent.

@@ -295,5 +295,5 @@ func loadProgram(dir string) (*Program, error) {
 		}
 		units = append(units, us...)
 	}
-	return newProgram(fset, units, relpos), nil
+	return newProgram(fset, units, mod.Path, relpos), nil
 }

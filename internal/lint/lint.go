@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"os"
 	"path/filepath"
 	"strings"
 )
@@ -87,7 +88,7 @@ func Run(opts Options) ([]Finding, error) {
 		units = append(units, us...)
 		findings = append(findings, fs...)
 	}
-	prog := newProgram(fset, units, relpos)
+	prog := newProgram(fset, units, mod.Path, relpos)
 	for _, f := range runGraphChecks(prog, checks) {
 		dir := filepath.ToSlash(filepath.Dir(f.File))
 		if !matchedDirs[dir] {
@@ -118,8 +119,15 @@ func relposFunc(fset *token.FileSet, root string) func(token.Pos) (string, int, 
 // RunDir analyzes the single package rooted at dir (plus its external test
 // package, if any) outside any module context — the entry point the golden
 // testdata corpus uses. internal toggles the internal-library scoping some
-// checks apply; findings use paths relative to dir.
+// checks apply; findings use paths relative to dir. A dir holding its own
+// go.mod is analyzed as that whole module instead, for the checks that need
+// one (unused wants the module's mains and root package).
+//
+//lint:ignore unused the golden corpus tests run each fixture through it
 func RunDir(dir string, checkNames []string, internal bool) ([]Finding, error) {
+	if isModuleDir(dir) {
+		return Run(Options{Dir: dir, Checks: checkNames})
+	}
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -150,7 +158,7 @@ func RunDir(dir string, checkNames []string, internal bool) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := newProgram(fset, units, relpos)
+	prog := newProgram(fset, units, "", relpos)
 	for _, f := range runGraphChecks(prog, checks) {
 		if idx, ok := directives[f.File]; ok && idx.suppresses(f.Check, f.Line) {
 			continue
@@ -161,10 +169,15 @@ func RunDir(dir string, checkNames []string, internal bool) ([]Finding, error) {
 	return findings, nil
 }
 
-// ProgramDir loads the single package rooted at dir like RunDir and
-// returns the whole-program view — the call-graph golden tests consume
-// its Dump.
+// ProgramDir loads the single package rooted at dir like RunDir (or, like
+// RunDir, the module a go.mod in dir declares) and returns the
+// whole-program view — the call-graph golden tests consume its Dump.
+//
+//lint:ignore unused the call-graph tests load their fixtures through it
 func ProgramDir(dir string) (*Program, error) {
+	if isModuleDir(dir) {
+		return loadProgram(dir)
+	}
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -190,7 +203,13 @@ func ProgramDir(dir string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newProgram(fset, units, relpos), nil
+	return newProgram(fset, units, "", relpos), nil
+}
+
+// isModuleDir reports whether dir holds a go.mod of its own.
+func isModuleDir(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
 }
 
 // runPackage analyzes one discovered package directory: the base unit

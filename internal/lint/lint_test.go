@@ -52,6 +52,10 @@ var goldenCases = []struct {
 	{dir: "hotpath-alloc/good", checks: []string{"hotpath-alloc"}, internal: false},
 	{dir: "lock-discipline/bad", checks: []string{"lock-discipline"}, internal: false},
 	{dir: "lock-discipline/good", checks: []string{"lock-discipline"}, internal: false},
+	// The unused fixtures are whole modules (each dir holds a go.mod): the
+	// check's roots are the module's mains and its root package.
+	{dir: "unused/bad", checks: []string{"unused"}},
+	{dir: "unused/good", checks: []string{"unused"}},
 }
 
 func TestGolden(t *testing.T) {

@@ -165,6 +165,8 @@ func newLoader(fset *token.FileSet, mod module, dirs map[string]*packageDir) *lo
 }
 
 // Import implements types.Importer over the module graph.
+//
+//lint:ignore unused go/types calls it through types.Importer
 func (l *loader) Import(path string) (*types.Package, error) {
 	if pkg, ok := l.cache[path]; ok {
 		return pkg, nil

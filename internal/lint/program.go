@@ -24,13 +24,16 @@ type Program struct {
 	fset  *token.FileSet
 	units []*unit
 	graph *Graph
+	// modPath is the module path of a whole-module load; empty when one
+	// package is loaded alone (RunDir, ProgramDir).
+	modPath string
 
 	relpos func(token.Pos) (file string, line, col int)
 }
 
 // newProgram assembles the program and builds its call graph.
-func newProgram(fset *token.FileSet, units []*unit, relpos func(token.Pos) (string, int, int)) *Program {
-	p := &Program{fset: fset, units: units, relpos: relpos}
+func newProgram(fset *token.FileSet, units []*unit, modPath string, relpos func(token.Pos) (string, int, int)) *Program {
+	p := &Program{fset: fset, units: units, modPath: modPath, relpos: relpos}
 	p.graph = buildGraph(p)
 	return p
 }
@@ -39,6 +42,8 @@ func newProgram(fset *token.FileSet, units []*unit, relpos func(token.Pos) (stri
 func (p *Program) Graph() *Graph { return p.graph }
 
 // Fset returns the program's file set.
+//
+//lint:ignore unused TestCallGraphReachability probes the program with it
 func (p *Program) Fset() *token.FileSet { return p.fset }
 
 // InTestFile reports whether pos sits in a *_test.go file.
@@ -70,9 +75,13 @@ func (gp *GraphPass) Reportf(pos token.Pos, format string, args ...any) {
 func (n *Node) Info() *types.Info { return n.unit.info }
 
 // Pkg returns the node's defining package.
+//
+//lint:ignore unused TestCallGraphReachability probes the graph with it
 func (n *Node) Pkg() *types.Package { return n.unit.pkg }
 
 // Internal reports whether the node lives in an internal/ library package.
+//
+//lint:ignore unused TestCallGraphReachability probes the graph with it
 func (n *Node) Internal() bool { return n.unit.internal }
 
 // runGraphChecks runs every selected graph check over the program and

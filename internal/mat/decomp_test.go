@@ -232,30 +232,6 @@ func TestSVDSolveMatchesQROnFullRank(t *testing.T) {
 	}
 }
 
-func TestPseudoInverseProperties(t *testing.T) {
-	// Moore–Penrose condition A·A⁺·A = A on a rank-deficient matrix.
-	a, _ := NewFromRows([][]float64{
-		{1, 2},
-		{2, 4},
-		{0, 1},
-	})
-	d, err := FactorSVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinv := d.PseudoInverse(0)
-	apa, _ := a.Mul(pinv)
-	apa, _ = apa.Mul(a)
-	if !apa.Equal(a, 1e-9) {
-		t.Error("A·A⁺·A != A")
-	}
-	pap, _ := pinv.Mul(a)
-	pap, _ = pap.Mul(pinv)
-	if !pap.Equal(pinv, 1e-9) {
-		t.Error("A⁺·A·A⁺ != A⁺")
-	}
-}
-
 func TestSVDEmptyRejected(t *testing.T) {
 	if _, err := FactorSVD(New(0, 3)); !errors.Is(err, ErrShape) {
 		t.Fatalf("err = %v, want ErrShape", err)

@@ -1,6 +1,6 @@
 // Package mat provides the dense linear-algebra substrate used by the CQM
-// pipeline: matrices, vectors, Householder QR, one-sided Jacobi SVD, linear
-// solving, and Moore–Penrose pseudo-inverses.
+// pipeline: matrices, vectors, Householder QR, one-sided Jacobi SVD, and
+// least-squares solving.
 //
 // The package is deliberately small and self-contained (stdlib only). The
 // matrices produced by the CQM training pipeline are tall and thin — design

@@ -36,6 +36,8 @@ func New(r, c int) *Matrix {
 
 // NewFromRows builds a matrix from a slice of equal-length rows. The input
 // is copied. It returns ErrShape if rows have differing lengths.
+//
+//lint:ignore unused the mat, QR and SVD tests build their matrices with it
 func NewFromRows(rows [][]float64) (*Matrix, error) {
 	m := new(Matrix)
 	if err := m.SetRows(rows); err != nil {
@@ -72,6 +74,8 @@ func (m *Matrix) reshape(r, c int) *Matrix {
 }
 
 // Identity returns the n×n identity matrix.
+//
+//lint:ignore unused FuzzSVDDifferential and the SVD tests check orthonormality against it
 func Identity(n int) *Matrix {
 	m := New(n, n)
 	for i := 0; i < n; i++ {
@@ -117,36 +121,6 @@ func (e indexError) Error() string {
 
 func (e indexError) Unwrap() error { return ErrBounds }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range for %dx%d matrix", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: column %d out of range for %dx%d matrix", j, m.rows, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// SetRow copies src into row i. It panics if src has the wrong length.
-func (m *Matrix) SetRow(i int, src []float64) {
-	if len(src) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow length %d, want %d", len(src), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], src)
-}
-
 // Clone returns a deep copy of the matrix.
 func (m *Matrix) Clone() *Matrix {
 	out := New(m.rows, m.cols)
@@ -155,6 +129,8 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // T returns the transpose as a new matrix.
+//
+//lint:ignore unused the QR and SVD tests reconstruct their inputs with it
 func (m *Matrix) T() *Matrix {
 	out := New(m.cols, m.rows)
 	for i := 0; i < m.rows; i++ {
@@ -167,6 +143,8 @@ func (m *Matrix) T() *Matrix {
 
 // Mul returns the matrix product m·b. It returns ErrShape if the inner
 // dimensions disagree.
+//
+//lint:ignore unused the SVD tests reconstruct their inputs with it
 func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 	if m.cols != b.rows {
 		return nil, fmt.Errorf("%w: %dx%d * %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
@@ -189,6 +167,8 @@ func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 }
 
 // MulVec returns the matrix–vector product m·v.
+//
+//lint:ignore unused the QR and SVD solve tests check residuals with it
 func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 	if m.cols != len(v) {
 		return nil, fmt.Errorf("%w: %dx%d * vec(%d)", ErrShape, m.rows, m.cols, len(v))
@@ -205,71 +185,10 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Add returns m + b elementwise.
-func (m *Matrix) Add(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m − b elementwise.
-func (m *Matrix) Sub(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d - %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
-// Scale returns s·m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
-// FrobeniusNorm returns the Frobenius norm sqrt(Σ m_ij²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var scale, ssq float64
-	ssq = 1
-	for _, v := range m.data {
-		if v == 0 {
-			continue
-		}
-		av := math.Abs(v)
-		if scale < av {
-			ssq = 1 + ssq*(scale/av)*(scale/av)
-			scale = av
-		} else {
-			ssq += (av / scale) * (av / scale)
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for empty matrices.
-func (m *Matrix) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // Equal reports whether m and b have the same shape and all elements within
 // tol of each other.
+//
+//lint:ignore unused the SVD tests compare reconstructions with it
 func (m *Matrix) Equal(b *Matrix, tol float64) bool {
 	if m.rows != b.rows || m.cols != b.cols {
 		return false

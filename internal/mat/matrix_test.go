@@ -2,7 +2,6 @@ package mat
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -93,31 +92,6 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 	New(2, 2).At(2, 0)
 }
 
-func TestRowColCopies(t *testing.T) {
-	m, _ := NewFromRows([][]float64{{1, 2}, {3, 4}})
-	r := m.Row(0)
-	r[0] = 99
-	if m.At(0, 0) != 1 {
-		t.Error("Row returned aliased storage")
-	}
-	c := m.Col(1)
-	if c[0] != 2 || c[1] != 4 {
-		t.Errorf("Col(1) = %v, want [2 4]", c)
-	}
-	c[0] = 99
-	if m.At(0, 1) != 2 {
-		t.Error("Col returned aliased storage")
-	}
-}
-
-func TestSetRow(t *testing.T) {
-	m := New(2, 3)
-	m.SetRow(1, []float64{7, 8, 9})
-	if m.At(1, 2) != 9 {
-		t.Errorf("At(1,2) = %v, want 9", m.At(1, 2))
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	m, _ := NewFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.T()
@@ -158,48 +132,6 @@ func TestMulVec(t *testing.T) {
 	}
 	if got[0] != 3 || got[1] != 7 {
 		t.Errorf("MulVec = %v, want [3 7]", got)
-	}
-}
-
-func TestAddSubScale(t *testing.T) {
-	a, _ := NewFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewFromRows([][]float64{{4, 3}, {2, 1}})
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := NewFromRows([][]float64{{5, 5}, {5, 5}})
-	if !sum.Equal(want, 0) {
-		t.Errorf("Add = %v", sum)
-	}
-	diff, err := sum.Sub(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !diff.Equal(a, 0) {
-		t.Errorf("Sub round trip = %v", diff)
-	}
-	sc := a.Scale(2)
-	if sc.At(1, 1) != 8 {
-		t.Errorf("Scale(2) At(1,1) = %v, want 8", sc.At(1, 1))
-	}
-	// Originals untouched.
-	if a.At(0, 0) != 1 {
-		t.Error("Add/Scale mutated receiver")
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	m, _ := NewFromRows([][]float64{{3, 0}, {0, 4}})
-	if got := m.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("FrobeniusNorm = %v, want 5", got)
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	m, _ := NewFromRows([][]float64{{-7, 2}, {3, 4}})
-	if got := m.MaxAbs(); got != 7 {
-		t.Errorf("MaxAbs = %v, want 7", got)
 	}
 }
 

@@ -57,6 +57,8 @@ func FactorQR(a *Matrix) (*QR, error) {
 }
 
 // R returns the upper-triangular factor as an n×n matrix.
+//
+//lint:ignore unused TestQRRIsUpperTriangular inspects the factor through it
 func (f *QR) R() *Matrix {
 	r := New(f.cols, f.cols)
 	for i := 0; i < f.cols; i++ {

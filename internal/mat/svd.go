@@ -44,6 +44,8 @@ type SVDWork struct {
 //
 // Matrices with more columns than rows are handled by decomposing the
 // transpose and swapping U and V.
+//
+//lint:ignore unused FuzzSVDDifferential and the SVD tests factor through it
 func FactorSVD(a *Matrix) (*SVD, error) {
 	return FactorSVDInto(a, new(SVDWork))
 }
@@ -230,6 +232,8 @@ func grow[T any](buf []T, n int) []T {
 // Rank returns the numerical rank: the number of singular values larger
 // than tol·max(S). A non-positive tol selects a default based on machine
 // epsilon and the matrix size.
+//
+//lint:ignore unused TestSVDRankDeficient probes the factorization with it
 func (d *SVD) Rank(tol float64) int {
 	if len(d.S) == 0 {
 		return 0
@@ -249,6 +253,8 @@ func (d *SVD) Rank(tol float64) int {
 
 // Cond returns the 2-norm condition number S_max/S_min, or +Inf when the
 // smallest singular value is zero.
+//
+//lint:ignore unused TestSVDRankDeficient probes the factorization with it
 func (d *SVD) Cond() float64 {
 	if len(d.S) == 0 {
 		return 0
@@ -263,6 +269,8 @@ func (d *SVD) Cond() float64 {
 // Solve computes the minimum-norm least-squares solution of A·x = b using
 // the decomposition, truncating singular values below tol·max(S)
 // (a non-positive tol selects a machine-epsilon default).
+//
+//lint:ignore unused the SVD solve tests check SolveInto through it
 func (d *SVD) Solve(b []float64, tol float64) ([]float64, error) {
 	x := make([]float64, d.V.Rows())
 	if err := d.SolveInto(x, b, tol); err != nil {
@@ -305,38 +313,6 @@ func (d *SVD) SolveInto(x, b []float64, tol float64) error {
 		}
 	}
 	return nil
-}
-
-// PseudoInverse returns the Moore–Penrose pseudo-inverse built from the
-// decomposition with the given singular-value tolerance (non-positive for
-// the default).
-func (d *SVD) PseudoInverse(tol float64) *Matrix {
-	m := d.U.Rows()
-	n := d.V.Rows()
-	if tol <= 0 {
-		tol = float64(maxInt(m, n)) * 2.220446049250313e-16
-	}
-	var cut float64
-	if len(d.S) > 0 {
-		cut = tol * d.S[0]
-	}
-	pinv := New(n, m)
-	for j, sv := range d.S {
-		if sv <= cut {
-			continue
-		}
-		inv := 1 / sv
-		for r := 0; r < n; r++ {
-			vr := d.V.At(r, j) * inv
-			if vr == 0 {
-				continue
-			}
-			for c := 0; c < m; c++ {
-				pinv.Set(r, c, pinv.At(r, c)+vr*d.U.At(c, j))
-			}
-		}
-	}
-	return pinv
 }
 
 func maxInt(a, b int) int {

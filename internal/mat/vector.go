@@ -22,6 +22,8 @@ func Dot(a, b []float64) float64 {
 
 // Norm2 returns the Euclidean norm of v, computed with scaling to avoid
 // overflow.
+//
+//lint:ignore unused TestQRLeastSquaresResidualOrthogonal measures residuals with it
 func Norm2(v []float64) float64 {
 	var scale, ssq float64
 	ssq = 1
@@ -41,6 +43,8 @@ func Norm2(v []float64) float64 {
 }
 
 // AddVec returns a + b as a new slice.
+//
+//lint:ignore unused TestVecArithmetic checks it alongside SubVec, which the QR tests use
 func AddVec(a, b []float64) []float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("mat: AddVec length mismatch %d vs %d", len(a), len(b)))
@@ -53,6 +57,8 @@ func AddVec(a, b []float64) []float64 {
 }
 
 // SubVec returns a − b as a new slice.
+//
+//lint:ignore unused TestQRLeastSquaresResidualOrthogonal forms residuals with it
 func SubVec(a, b []float64) []float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("mat: SubVec length mismatch %d vs %d", len(a), len(b)))
@@ -65,6 +71,8 @@ func SubVec(a, b []float64) []float64 {
 }
 
 // ScaleVec returns s·v as a new slice.
+//
+//lint:ignore unused TestVecArithmetic checks it alongside SubVec, which the QR tests use
 func ScaleVec(s float64, v []float64) []float64 {
 	out := make([]float64, len(v))
 	for i, x := range v {
@@ -74,6 +82,8 @@ func ScaleVec(s float64, v []float64) []float64 {
 }
 
 // Distance returns the Euclidean distance between a and b.
+//
+//lint:ignore unused TestDistance checks it alongside SquaredDistance, which clustering uses
 func Distance(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("mat: Distance length mismatch %d vs %d", len(a), len(b)))

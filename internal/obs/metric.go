@@ -159,6 +159,8 @@ type Timer struct {
 }
 
 // Observe records one duration.
+//
+//lint:ignore unused the Timer and nil-registry tests check it alongside Start
 func (t *Timer) Observe(d time.Duration) {
 	if t == nil {
 		return
@@ -169,7 +171,7 @@ func (t *Timer) Observe(d time.Duration) {
 // Time runs fn and records its wall-clock duration. It works on a nil
 // receiver (fn still runs, nothing is recorded).
 //
-//lint:ignore nondeterminism measuring wall-clock time is this type's purpose
+//lint:ignore nondeterminism,unused measuring wall-clock time is this type's purpose; TestNilRegistryAndMetricsAreNoOps checks it alongside Start
 func (t *Timer) Time(fn func()) {
 	if t == nil {
 		fn()
@@ -222,6 +224,8 @@ var UnitBuckets = []float64{
 
 // LinearBuckets returns count ascending bounds starting at start, spaced
 // by width.
+//
+//lint:ignore unused TestBucketGenerators checks it alongside ExpBuckets
 func LinearBuckets(start, width float64, count int) []float64 {
 	out := make([]float64, count)
 	for i := range out {

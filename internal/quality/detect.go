@@ -54,6 +54,8 @@ type PageHinkley struct {
 
 // NewPageHinkley returns a detector with the given configuration (zero
 // fields take defaults).
+//
+//lint:ignore unused the Page-Hinkley tests build their detector with it
 func NewPageHinkley(cfg PHConfig) *PageHinkley {
 	return &PageHinkley{cfg: cfg.withDefaults()}
 }

@@ -4,14 +4,12 @@
 // prescribes ("The single value decomposition (SVD) is used to solve the
 // over-determined linear equation").
 //
-// A QR path is provided for well-conditioned problems and a ridge variant
-// for ablation experiments.
+// A QR path is provided for well-conditioned problems.
 package regress
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"cqm/internal/mat"
@@ -50,6 +48,8 @@ func (m Method) String() string {
 // LeastSquares solves min ‖X·w − y‖₂ for w. X is given as rows; y runs in
 // parallel with the rows. The SVD method returns the minimum-norm solution
 // for rank-deficient systems instead of failing.
+//
+//lint:ignore unused the regress tests solve through it
 func LeastSquares(x [][]float64, y []float64, method Method) ([]float64, error) {
 	return LeastSquaresInto(x, y, method, new(Workspace))
 }
@@ -104,45 +104,10 @@ func LeastSquaresInto(x [][]float64, y []float64, method Method, ws *Workspace) 
 	}
 }
 
-// Ridge solves the Tikhonov-regularized problem
-// min ‖X·w − y‖₂² + λ‖w‖₂² by augmenting the design matrix with √λ·I.
-// λ must be non-negative; λ = 0 reduces to plain least squares.
-func Ridge(x [][]float64, y []float64, lambda float64) ([]float64, error) {
-	if lambda < 0 {
-		return nil, fmt.Errorf("regress: negative ridge lambda %v", lambda)
-	}
-	if len(x) == 0 {
-		return nil, ErrEmpty
-	}
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("%w: %d rows vs %d targets", ErrDimension, len(x), len(y))
-	}
-	if lambda == 0 {
-		return LeastSquares(x, y, MethodSVD)
-	}
-	cols := len(x[0])
-	aug := make([][]float64, 0, len(x)+cols)
-	aug = append(aug, x...)
-	sq := sqrtLambdaRows(lambda, cols)
-	aug = append(aug, sq...)
-	augY := make([]float64, len(y)+cols)
-	copy(augY, y)
-	return LeastSquares(aug, augY, MethodSVD)
-}
-
-func sqrtLambdaRows(lambda float64, cols int) [][]float64 {
-	rows := make([][]float64, cols)
-	s := math.Sqrt(lambda)
-	for i := range rows {
-		row := make([]float64, cols)
-		row[i] = s
-		rows[i] = row
-	}
-	return rows
-}
-
 // Predict evaluates the linear model w over each row of x (no intercept is
 // added; include a bias column in x if needed).
+//
+//lint:ignore unused the least-squares tests check their fits through it
 func Predict(x [][]float64, w []float64) ([]float64, error) {
 	out := make([]float64, len(x))
 	for i, row := range x {
@@ -155,6 +120,8 @@ func Predict(x [][]float64, w []float64) ([]float64, error) {
 }
 
 // MSE returns the mean squared error between predictions and targets.
+//
+//lint:ignore unused the least-squares tests check their fits through it
 func MSE(pred, y []float64) (float64, error) {
 	if len(pred) != len(y) {
 		return 0, fmt.Errorf("%w: %d predictions vs %d targets", ErrDimension, len(pred), len(y))

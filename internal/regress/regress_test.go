@@ -104,47 +104,6 @@ func TestZeroValueMethodDefaultsToSVD(t *testing.T) {
 	}
 }
 
-func TestRidgeShrinksTowardZero(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	x := make([][]float64, 30)
-	y := make([]float64, 30)
-	for i := range x {
-		x[i] = []float64{r.NormFloat64()}
-		y[i] = 3*x[i][0] + 0.1*r.NormFloat64()
-	}
-	w0, err := Ridge(x, y, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wBig, err := Ridge(x, y, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(wBig[0]) >= math.Abs(w0[0]) {
-		t.Errorf("ridge did not shrink: |%v| >= |%v|", wBig[0], w0[0])
-	}
-	if _, err := Ridge(x, y, -1); err == nil {
-		t.Error("negative lambda accepted")
-	}
-}
-
-func TestRidgeHandlesCollinearity(t *testing.T) {
-	x := [][]float64{
-		{1, 1},
-		{2, 2},
-		{3, 3},
-	}
-	y := []float64{2, 4, 6}
-	w, err := Ridge(x, y, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Symmetric problem: weights split evenly.
-	if math.Abs(w[0]-w[1]) > 1e-8 {
-		t.Errorf("collinear weights not symmetric: %v", w)
-	}
-}
-
 func TestPredictAndMSE(t *testing.T) {
 	x := [][]float64{{1, 0}, {0, 1}}
 	w := []float64{2, 3}

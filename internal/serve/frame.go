@@ -305,6 +305,8 @@ func decodeSection(req *Request, cues []float64, section []byte, deadline int) e
 // deadline form, budget) section. It returns the decoded request; io
 // errors pass through (io.EOF at a clean frame boundary,
 // io.ErrUnexpectedEOF inside a frame). It reads no byte past the frame.
+//
+//lint:ignore unused perfbench, a separate module, reads requests with it
 func ReadRequest(r io.Reader) (Request, error) {
 	var buf [maxRequestLen]byte
 	if _, err := io.ReadFull(r, buf[:headLen]); err != nil {

@@ -64,10 +64,10 @@ func TestDeadlineExpiredBeforeScoringRejected(t *testing.T) {
 }
 
 func TestShardPanicRecoveryKeepsServing(t *testing.T) {
-	// An observer that panics after every batch exercises the supervisor on
-	// each request: the batch is already answered when the panic fires, the
-	// worker restarts, and the next request is served as if nothing
-	// happened.
+	// An observer that panics after every batch exercises the batch's panic
+	// barrier on each request: the batch is already answered when the panic
+	// fires, the barrier counts a recovered batch, and the next request is
+	// served as if nothing happened.
 	srv := biasServer(t, 0.75, Config{
 		BatchObserver: func(m *core.Measure, outs []Outcome) {
 			panic("hostile observer")
@@ -97,7 +97,7 @@ func TestShardPanicRecoveryKeepsServing(t *testing.T) {
 }
 
 func TestAnswerUnansweredSkipsNilledSlots(t *testing.T) {
-	// The supervisor's contract: batch entries are nilled exactly when
+	// The panic barrier's contract: batch entries are nilled exactly when
 	// answered, so recovery must answer only the non-nil remainder — never
 	// double-answering, never leaking.
 	srv := biasServer(t, 0.75, Config{})

@@ -19,9 +19,6 @@ func NewRing(n int) (*Ring, error) {
 	return &Ring{shards: n}, nil
 }
 
-// Shards returns the shard count the ring was built for.
-func (r *Ring) Shards() int { return r.shards }
-
 // Shard returns the shard owning the source identifier. The lookup is
 // allocation-free and lock-free.
 func (r *Ring) Shard(source []byte) int {

@@ -334,6 +334,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Threshold returns the acceptance threshold the server applies.
+//
+//lint:ignore unused TestShardOfMatchesRing probes the server with it
 func (s *Server) Threshold() float64 { return s.cfg.Threshold }
 
 // Shards returns the shard count.
@@ -341,6 +343,8 @@ func (s *Server) Shards() int { return s.cfg.Shards }
 
 // ShardOf exposes the shard assignment of a source id (the consistent-hash
 // map the fronts and tests share).
+//
+//lint:ignore unused TestShardOfMatchesRing checks routing against the ring through it
 func (s *Server) ShardOf(source []byte) int { return s.ring.Shard(source) }
 
 // Submit scores one request through its source's shard, blocking until it
@@ -445,6 +449,8 @@ func (s *Server) Drain() {
 }
 
 // Draining reports whether the server has begun (or finished) draining.
+//
+//lint:ignore unused TestDrainAccountsForEveryAdmittedRequest probes the drain with it
 func (s *Server) Draining() bool {
 	s.admission.RLock()
 	defer s.admission.RUnlock()

@@ -17,51 +17,9 @@ type Interval struct {
 func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
 
 // Contains reports whether x lies inside the interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
-
-// Bootstrap computes a percentile confidence interval for a statistic by
-// resampling xs with replacement. The statistic receives each resample;
-// resamples for which it returns a non-nil error are skipped (some
-// statistics — density intersections, for instance — are undefined on
-// degenerate resamples), but at least half must succeed.
 //
-// The paper derives its threshold and probabilities from 24 points; a
-// bootstrap interval makes the resulting sampling uncertainty visible.
-func Bootstrap(xs []float64, statistic func([]float64) (float64, error), resamples int, level float64, seed int64) (Interval, error) {
-	if len(xs) == 0 {
-		return Interval{}, ErrNoData
-	}
-	if resamples < 10 {
-		return Interval{}, fmt.Errorf("stat: %d resamples, want >= 10", resamples)
-	}
-	if level <= 0 || level >= 1 {
-		return Interval{}, fmt.Errorf("stat: confidence level %v outside (0,1)", level)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	values := make([]float64, 0, resamples)
-	buf := make([]float64, len(xs))
-	for r := 0; r < resamples; r++ {
-		for i := range buf {
-			buf[i] = xs[rng.Intn(len(xs))]
-		}
-		v, err := statistic(buf)
-		if err != nil {
-			continue
-		}
-		values = append(values, v)
-	}
-	if len(values) < resamples/2 {
-		return Interval{}, fmt.Errorf("%w: statistic defined on only %d/%d resamples",
-			ErrDegenerate, len(values), resamples)
-	}
-	sort.Float64s(values)
-	alpha := (1 - level) / 2
-	return Interval{
-		Lo:    Quantile(values, alpha),
-		Hi:    Quantile(values, 1-alpha),
-		Level: level,
-	}, nil
-}
+//lint:ignore unused eval's TestThresholdConfidence checks its intervals with it
+func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
 // BootstrapPaired resamples index-aligned pairs (xs[i], labels[i]) — the
 // right shape for statistics over labelled quality scores, like the

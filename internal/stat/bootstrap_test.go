@@ -6,73 +6,6 @@ import (
 	"testing"
 )
 
-func TestBootstrapMeanInterval(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = 0.8 + 0.1*r.NormFloat64()
-	}
-	iv, err := Bootstrap(xs, func(s []float64) (float64, error) { return Mean(s), nil }, 500, 0.95, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(0.8) {
-		t.Errorf("interval [%v, %v] misses the true mean", iv.Lo, iv.Hi)
-	}
-	// σ/√n = 0.01, so the 95% interval spans roughly ±0.02.
-	if iv.Width() > 0.1 || iv.Width() <= 0 {
-		t.Errorf("implausible width %v", iv.Width())
-	}
-	if !almostEqual(iv.Level, 0.95) {
-		t.Errorf("Level = %v", iv.Level)
-	}
-}
-
-func TestBootstrapShrinksWithSampleSize(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	big := make([]float64, 400)
-	for i := range big {
-		big[i] = r.NormFloat64()
-	}
-	small := big[:25]
-	mean := func(s []float64) (float64, error) { return Mean(s), nil }
-	ivSmall, err := Bootstrap(small, mean, 400, 0.95, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ivBig, err := Bootstrap(big, mean, 400, 0.95, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ivBig.Width() >= ivSmall.Width() {
-		t.Errorf("more data widened the interval: %v vs %v", ivBig.Width(), ivSmall.Width())
-	}
-}
-
-func TestBootstrapValidation(t *testing.T) {
-	mean := func(s []float64) (float64, error) { return Mean(s), nil }
-	if _, err := Bootstrap(nil, mean, 100, 0.95, 1); !errors.Is(err, ErrNoData) {
-		t.Errorf("empty: %v", err)
-	}
-	xs := []float64{1, 2, 3}
-	if _, err := Bootstrap(xs, mean, 5, 0.95, 1); err == nil {
-		t.Error("too few resamples accepted")
-	}
-	if _, err := Bootstrap(xs, mean, 100, 1.5, 1); err == nil {
-		t.Error("bad level accepted")
-	}
-}
-
-func TestBootstrapSkipsFailingResamples(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	failing := func(s []float64) (float64, error) {
-		return 0, errors.New("always undefined")
-	}
-	if _, err := Bootstrap(xs, failing, 100, 0.95, 1); !errors.Is(err, ErrDegenerate) {
-		t.Errorf("all-failing statistic: %v", err)
-	}
-}
-
 func TestBootstrapPairedThreshold(t *testing.T) {
 	// Quality scores: wrong around 0.2, right around 0.9.
 	r := rand.New(rand.NewSource(5))
@@ -128,21 +61,5 @@ func TestBootstrapPairedValidation(t *testing.T) {
 	}
 	if _, err := BootstrapPaired([]float64{1}, []bool{true}, stat, 100, 2, 1); err == nil {
 		t.Error("bad level accepted")
-	}
-}
-
-func TestBootstrapDeterministicForSeed(t *testing.T) {
-	xs := []float64{0.1, 0.5, 0.9, 0.3, 0.7}
-	mean := func(s []float64) (float64, error) { return Mean(s), nil }
-	a, err := Bootstrap(xs, mean, 200, 0.9, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Bootstrap(xs, mean, 200, 0.9, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("same seed produced different intervals")
 	}
 }

@@ -33,6 +33,8 @@ func Variance(xs []float64) float64 {
 }
 
 // StdDev returns the unbiased sample standard deviation.
+//
+//lint:ignore unused TestVarianceAndStdDev and TestMeanShiftInvarianceProperty check it alongside PopStdDev and Mean
 func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
@@ -69,23 +71,6 @@ func MinMax(xs []float64) (min, max float64) {
 		}
 	}
 	return min, max
-}
-
-// Median returns the median of xs (the mean of the two central values for
-// even-length samples), or 0 for an empty sample. The input is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return 0.5 * (sorted[n/2-1] + sorted[n/2])
 }
 
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) of xs using linear

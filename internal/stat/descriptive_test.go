@@ -56,20 +56,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd Median = %v, want 2", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("even Median = %v, want 2.5", got)
-	}
-	in := []float64{9, 1, 5}
-	Median(in)
-	if in[0] != 9 {
-		t.Error("Median mutated its input")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	tests := []struct {

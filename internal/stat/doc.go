@@ -5,6 +5,7 @@
 // probabilities computed from Gaussian CDF "median cuts".
 //
 // It also provides the generic statistical utilities the rest of the
-// repository needs: descriptive statistics, histograms, confusion-matrix
-// metrics, and ROC/AUC analysis for evaluating quality thresholds.
+// repository needs: descriptive statistics, kernel density estimates, a
+// paired bootstrap for confidence intervals, online moments, and ROC/AUC
+// analysis for evaluating quality thresholds.
 package stat

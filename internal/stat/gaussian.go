@@ -24,15 +24,6 @@ var (
 	ErrNoIntersection = errors.New("stat: densities do not intersect in interval")
 )
 
-// NewGaussian returns N(mu, sigma²). It returns ErrDegenerate for
-// non-positive sigma.
-func NewGaussian(mu, sigma float64) (Gaussian, error) {
-	if sigma <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
-		return Gaussian{}, fmt.Errorf("%w: sigma = %v", ErrDegenerate, sigma)
-	}
-	return Gaussian{Mu: mu, Sigma: sigma}, nil
-}
-
 // PDF returns the probability density φ_{µ,σ}(x) (paper §2.3.1).
 func (g Gaussian) PDF(x float64) float64 {
 	z := (x - g.Mu) / g.Sigma
@@ -52,6 +43,8 @@ func (g Gaussian) UpperTail(x float64) float64 {
 
 // Quantile returns the x with CDF(x) = p, computed by bisection. p outside
 // (0,1) yields ±Inf.
+//
+//lint:ignore unused the quality KS test draws its reference sample through it
 func (g Gaussian) Quantile(p float64) float64 {
 	switch {
 	case p <= 0:

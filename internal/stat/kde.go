@@ -35,9 +35,6 @@ func NewKDE(xs []float64, bandwidth float64) (*KDE, error) {
 	return &KDE{xs: owned, bandwidth: bandwidth}, nil
 }
 
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
 // PDF returns the estimated density at x.
 func (k *KDE) PDF(x float64) float64 {
 	var sum float64
@@ -48,21 +45,6 @@ func (k *KDE) PDF(x float64) float64 {
 		sum += norm * math.Exp(-0.5*z*z)
 	}
 	return sum / float64(len(k.xs))
-}
-
-// CDF returns the estimated distribution function at x.
-func (k *KDE) CDF(x float64) float64 {
-	var sum float64
-	h := k.bandwidth
-	for _, xi := range k.xs {
-		sum += 0.5 * math.Erfc(-(x-xi)/(h*math.Sqrt2))
-	}
-	return sum / float64(len(k.xs))
-}
-
-// UpperTail returns 1 − CDF(x).
-func (k *KDE) UpperTail(x float64) float64 {
-	return 1 - k.CDF(x)
 }
 
 // CrossPDFs finds the point in [lo, hi] where density a falls below

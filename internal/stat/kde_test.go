@@ -8,10 +8,6 @@ import (
 	"testing/quick"
 )
 
-// almostEqual compares floats with a tolerance suited to the unit-scale
-// values these tests assert on.
-func almostEqual(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
-
 func TestKDEEmpty(t *testing.T) {
 	if _, err := NewKDE(nil, 0); !errors.Is(err, ErrNoData) {
 		t.Errorf("err = %v, want ErrNoData", err)
@@ -43,32 +39,6 @@ func TestKDEIntegratesToOne(t *testing.T) {
 	}
 	if integral := sum * h / 3; math.Abs(integral-1) > 1e-6 {
 		t.Errorf("KDE integral = %v", integral)
-	}
-}
-
-func TestKDECDFMatchesPDF(t *testing.T) {
-	xs := []float64{0.2, 0.4, 0.6, 0.8}
-	k, err := NewKDE(xs, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(k.Bandwidth(), 0.05) {
-		t.Errorf("Bandwidth = %v", k.Bandwidth())
-	}
-	// CDF spans 0→1 and is monotone.
-	if k.CDF(-5) > 1e-9 || k.CDF(5) < 1-1e-9 {
-		t.Errorf("CDF tails: %v, %v", k.CDF(-5), k.CDF(5))
-	}
-	prev := -1.0
-	for x := -1.0; x <= 2.0; x += 0.05 {
-		c := k.CDF(x)
-		if c < prev-1e-12 {
-			t.Fatalf("CDF not monotone at %v", x)
-		}
-		prev = c
-	}
-	if s := k.CDF(0.5) + k.UpperTail(0.5); math.Abs(s-1) > 1e-12 {
-		t.Errorf("CDF+UpperTail = %v", s)
 	}
 }
 

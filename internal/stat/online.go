@@ -21,6 +21,8 @@ func (o *Online) Add(x float64) {
 }
 
 // N returns the number of observations.
+//
+//lint:ignore unused TestOnlineMatchesBatch probes the accumulator with it
 func (o *Online) N() int { return o.n }
 
 // Mean returns the running mean (0 when empty).
@@ -40,6 +42,8 @@ func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
 
 // Gaussian returns the running MLE Gaussian with the same sigma floor as
 // FitGaussianMLE, or ErrNoData when empty.
+//
+//lint:ignore unused TestOnlineMatchesBatch probes the accumulator with it
 func (o *Online) Gaussian() (Gaussian, error) {
 	if o.n == 0 {
 		return Gaussian{}, ErrNoData
@@ -92,6 +96,8 @@ func (d *Decayed) Add(x float64) {
 func (d *Decayed) Weight() float64 { return d.weight }
 
 // Mean returns the exponentially weighted mean.
+//
+//lint:ignore unused the Decayed tests probe the accumulator with it
 func (d *Decayed) Mean() float64 { return d.mean }
 
 // Variance returns the exponentially weighted population variance.

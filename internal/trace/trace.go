@@ -120,44 +120,3 @@ func Read(r io.Reader) ([]sensor.Reading, error) {
 	}
 	return out, nil
 }
-
-// Clip returns the readings within [from, to) seconds, preserving order.
-func Clip(readings []sensor.Reading, from, to float64) []sensor.Reading {
-	var out []sensor.Reading
-	for _, r := range readings {
-		if r.T >= from && r.T < to {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Relabel returns a copy of the readings with every ground truth replaced —
-// useful when annotating a raw capture after the fact.
-func Relabel(readings []sensor.Reading, truth sensor.Context) []sensor.Reading {
-	out := make([]sensor.Reading, len(readings))
-	copy(out, readings)
-	for i := range out {
-		out[i].Truth = truth
-	}
-	return out
-}
-
-// Concat joins recordings, re-stamping times so each part starts after
-// the previous one plus gap seconds.
-func Concat(gap float64, parts ...[]sensor.Reading) []sensor.Reading {
-	var out []sensor.Reading
-	offset := 0.0
-	for _, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		base := part[0].T
-		for _, r := range part {
-			r.T = r.T - base + offset
-			out = append(out, r)
-		}
-		offset = out[len(out)-1].T + gap
-	}
-	return out
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -87,50 +86,6 @@ func TestReadErrors(t *testing.T) {
 			t.Errorf("err = %v", err)
 		}
 	})
-}
-
-func TestClip(t *testing.T) {
-	readings := []sensor.Reading{
-		{T: 0}, {T: 1}, {T: 2}, {T: 3}, {T: 4},
-	}
-	got := Clip(readings, 1, 3)
-	if len(got) != 2 || got[0].T != 1 || got[1].T != 2 {
-		t.Errorf("Clip = %+v", got)
-	}
-	if Clip(readings, 10, 20) != nil {
-		t.Error("out-of-range Clip should be empty")
-	}
-}
-
-func TestRelabel(t *testing.T) {
-	readings := []sensor.Reading{
-		{T: 0, Truth: sensor.ContextLying},
-		{T: 1, Truth: sensor.ContextWriting},
-	}
-	got := Relabel(readings, sensor.ContextPlaying)
-	for _, r := range got {
-		if r.Truth != sensor.ContextPlaying {
-			t.Fatalf("Relabel missed: %+v", r)
-		}
-	}
-	if readings[0].Truth != sensor.ContextLying {
-		t.Error("Relabel mutated input")
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := []sensor.Reading{{T: 5}, {T: 6}}
-	b := []sensor.Reading{{T: 100}, {T: 101}}
-	got := Concat(2, a, b, nil)
-	want := []float64{0, 1, 3, 4}
-	if len(got) != 4 {
-		t.Fatalf("Concat length %d", len(got))
-	}
-	for i, w := range want {
-		if math.Abs(got[i].T-w) > 1e-12 {
-			t.Errorf("T[%d] = %v, want %v", i, got[i].T, w)
-		}
-	}
 }
 
 func TestRoundTripProperty(t *testing.T) {
